@@ -399,11 +399,10 @@ let strategy_ablation () =
 
 (* -------------------------------------------------------------------- R1 *)
 
-(* Before/after for the packed/indexed runtime: the naive reference
-   implementations stay in the tree (Run.accepts_naive,
-   Generate.accepted_naive, the Runtime toggle for the whole pipeline),
-   so the comparison runs on identical workloads in one process.  The
-   numbers land in BENCH_runtime.json for the perf trajectory. *)
+(* The packed/indexed runtime against the naive reference
+   implementations, which stay in the tree as test oracles
+   (Run.accepts_naive, Generate.accepted_naive), on identical inputs in
+   one process.  The numbers land in BENCH_runtime.json. *)
 let runtime_bench () =
   B.section "R1 — packed/indexed runtime vs naive reference";
   let g = Prng.create 123 in
@@ -454,34 +453,6 @@ let runtime_bench () =
         (name, max_len, naive, fast))
       gen_cases
   in
-  (* The E1 query suite end-to-end, runtime off vs. on.  Each query is
-     evaluated repeatedly (time_per_run), the steady-state workload the
-     compile memo targets: with the runtime off every run recompiles its
-     string formulas from scratch, with it on the compiled FSAs and their
-     dispatch indices are reused across runs. *)
-  let db = Workload.genomic_db ~seed:11 ~n:(if quick then 8 else 16) ~len:6 in
-  let queries = e1_queries () in
-  let run_suite () =
-    List.map
-      (fun (name, free, phi) ->
-        let q = Query.make ~free phi in
-        let dt = B.time_per_run ~min_time:0.3 (fun () -> Query.run dna db q) in
-        (name, dt))
-      queries
-  in
-  Runtime.set_enabled false;
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  let before = run_suite () in
-  Runtime.set_enabled true;
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  let after = run_suite () in
-  let total l = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 l in
-  let before_total = total before and after_total = total after in
-  Printf.printf "  E1 suite: naive %.1f ms, runtime %.1f ms, speedup %.2fx\n%!"
-    (before_total *. 1e3) (after_total *. 1e3)
-    (before_total /. after_total);
   (* Emit the JSON record. *)
   let oc = open_out "BENCH_runtime.json" in
   Printf.fprintf oc "{\n";
@@ -506,21 +477,7 @@ let runtime_bench () =
         name max_len (naive *. 1e9) (fast *. 1e9) (naive /. fast)
         (if i = List.length gen_rows - 1 then "" else ","))
     gen_rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"e1_suite\": {\n";
-  Printf.fprintf oc "    \"before_ms\": %.2f,\n" (before_total *. 1e3);
-  Printf.fprintf oc "    \"after_ms\": %.2f,\n" (after_total *. 1e3);
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" (before_total /. after_total);
-  Printf.fprintf oc "    \"queries\": [\n";
-  List.iteri
-    (fun i ((name, b), (_, a)) ->
-      Printf.fprintf oc
-        "      {\"name\": %S, \"before_ms\": %.2f, \"after_ms\": %.2f}%s\n" name
-        (b *. 1e3) (a *. 1e3)
-        (if i = List.length before - 1 then "" else ","))
-    (List.combine before after);
-  Printf.fprintf oc "    ]\n";
-  Printf.fprintf oc "  }\n";
+  Printf.fprintf oc "  ]\n";
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "  wrote BENCH_runtime.json\n%!"
@@ -528,19 +485,16 @@ let runtime_bench () =
 (* -------------------------------------------------------------------- P1 *)
 
 (* Domain-parallel evaluation.  Two workloads, measured at 1/2/4/8
-   domains plus the sequential naive-reference baseline (Runtime
-   disabled, domains=1 — the same "before" engine R1 measures):
+   domains:
 
      - the E1 twelve-query suite on the genomic database, batch-parallel
        σ_A filtering and generator expansion inside Query.run;
      - the E9 restructuring query (concat3 generator over pair_db).
 
    The scaling series is honest about the host: on a single-core
-   container all domain counts collapse onto one core and the >1-domain
+   machine all domain counts collapse onto one core and the >1-domain
    rows only show pool overhead; the parallel win appears on multi-core
-   hosts (CI runs the suite with STRDB_DOMAINS=4).  The headline speedup
-   therefore compares the 4-domain fast engine against the sequential
-   naive baseline, the end-to-end before/after of this PR series. *)
+   hosts.  The headline speedup compares 4 domains against 1. *)
 let parallel_bench () =
   B.section "P1 — domain-parallel evaluation: scaling and cache hit rates";
   let domain_counts = [ 1; 2; 4; 8 ] in
@@ -571,16 +525,7 @@ let parallel_bench () =
   let run_e9 ~domains () =
     B.time_per_run ~min_time (fun () -> Query.run ~domains b2 e9_db e9_q)
   in
-  (* Sequential naive baseline: runtime disabled, one domain. *)
-  Runtime.set_enabled false;
-  Runtime.clear_cache ();
-  Compile.clear_cache ();
-  let e1_naive = run_e1 ~domains:1 () in
-  let e9_naive = run_e9 ~domains:1 () in
-  Runtime.set_enabled true;
-  Printf.printf "  sequential naive baseline: E1 %.1f ms, E9 %.2f ms\n%!"
-    (e1_naive *. 1e3) (e9_naive *. 1e3);
-  (* Fast engine at each domain count, with cache counters per sweep. *)
+  (* Each domain count, with cache counters over the sweep. *)
   Runtime.clear_cache ();
   Compile.clear_cache ();
   Runtime.reset_stats ();
@@ -590,9 +535,8 @@ let parallel_bench () =
       (fun d ->
         let e1 = run_e1 ~domains:d () in
         let e9 = run_e9 ~domains:d () in
-        Printf.printf
-          "  domains=%-2d E1 %8.1f ms (%5.2fx vs naive)   E9 %7.2f ms (%5.2fx vs naive)\n%!"
-          d (e1 *. 1e3) (e1_naive /. e1) (e9 *. 1e3) (e9_naive /. e9);
+        Printf.printf "  domains=%-2d E1 %8.1f ms   E9 %7.2f ms\n%!" d (e1 *. 1e3)
+          (e9 *. 1e3);
         (d, e1, e9))
       domain_counts
   in
@@ -613,30 +557,23 @@ let parallel_bench () =
     (100.0 *. rate cs.Compile.hits cs.Compile.misses)
     cs.Compile.entries;
   let e1_at d = let (_, e1, _) = List.find (fun (d', _, _) -> d' = d) series in e1 in
-  let headline = e1_naive /. e1_at 4 in
-  Printf.printf
-    "  headline: 4-domain fast engine vs sequential naive baseline on E1: %.2fx\n%!"
-    headline;
+  let headline = e1_at 1 /. e1_at 4 in
+  Printf.printf "  headline: E1 at 4 domains vs 1 domain: %.2fx\n%!" headline;
   (* Emit the JSON record. *)
   let oc = open_out "BENCH_parallel.json" in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"parallel\",\n";
   Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
   Printf.fprintf oc "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"e1_naive_sequential_ms\": %.2f,\n" (e1_naive *. 1e3);
-  Printf.fprintf oc "  \"e9_naive_sequential_ms\": %.3f,\n" (e9_naive *. 1e3);
   Printf.fprintf oc "  \"scaling\": [\n";
   List.iteri
     (fun i (d, e1, e9) ->
-      Printf.fprintf oc
-        "    {\"domains\": %d, \"e1_ms\": %.2f, \"e1_speedup_vs_naive\": %.2f, \
-         \"e9_ms\": %.3f, \"e9_speedup_vs_naive\": %.2f}%s\n"
-        d (e1 *. 1e3) (e1_naive /. e1) (e9 *. 1e3) (e9_naive /. e9)
+      Printf.fprintf oc "    {\"domains\": %d, \"e1_ms\": %.2f, \"e9_ms\": %.3f}%s\n"
+        d (e1 *. 1e3) (e9 *. 1e3)
         (if i = List.length series - 1 then "" else ","))
     series;
   Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"speedup_4_domains_vs_sequential_baseline\": %.2f,\n" headline;
+  Printf.fprintf oc "  \"speedup_4_domains_vs_1\": %.2f,\n" headline;
   Printf.fprintf oc "  \"cache_stats\": {\n";
   Printf.fprintf oc
     "    \"index\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
@@ -652,232 +589,6 @@ let parallel_bench () =
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "  wrote BENCH_parallel.json\n%!"
-
-(* -------------------------------------------------------------------- K1 *)
-
-(* Before/after for the optimize pass + shape-dispatched kernels on the
-   E1 suite (PR 2's single-domain database, so totals compare directly
-   with BENCH_parallel.json's domains=1 figure).  Both sides run the
-   fast runtime; the only difference is STRDB_OPT, flipped at runtime in
-   one process on identical workloads. *)
-let kernel_bench () =
-  B.section "K1 — optimize pass + shape-dispatched kernels on the E1 suite";
-  let min_time = if quick then 0.1 else 0.3 in
-  let db = Workload.genomic_db ~seed:11 ~n:(if quick then 8 else 12) ~len:6 in
-  let queries = e1_queries () in
-  let clear () =
-    Runtime.clear_cache ();
-    Compile.clear_cache ();
-    Optimize.clear_cache ();
-    Limitation.clear_cache ();
-    Generate.clear_spec_cache ()
-  in
-  let run_suite () =
-    List.map
-      (fun (name, free, phi) ->
-        let q = Query.make ~free phi in
-        let dt = B.time_per_run ~min_time (fun () -> Query.run dna db q) in
-        (name, dt))
-      queries
-  in
-  Optimize.set_enabled false;
-  clear ();
-  let before = run_suite () in
-  Optimize.set_enabled true;
-  clear ();
-  let after = run_suite () in
-  (* Kernel/shape selections per query, from the plan annotations. *)
-  let selections =
-    List.map
-      (fun (name, _free, phi) ->
-        let kernels =
-          match Eval.explain dna db phi with
-          | Error e -> [ "rejected: " ^ e ]
-          | Ok steps ->
-              List.filter_map
-                (function
-                  | Eval.Scan _ | Eval.IndexProbe _ -> None
-                  | Eval.Filter (_, k) -> Some k
-                  | Eval.Generator (_, _, k) -> Some k)
-                steps
-        in
-        (name, kernels))
-      queries
-  in
-  let total l = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 l in
-  let before_total = total before and after_total = total after in
-  List.iter2
-    (fun ((name, b), (_, a)) (_, kernels) ->
-      Printf.printf "  %-34s before %8.2f ms  after %8.2f ms  %5.2fx  %s\n%!"
-        name (b *. 1e3) (a *. 1e3) (b /. a)
-        (String.concat " | " kernels))
-    (List.combine before after) selections;
-  Printf.printf
-    "  E1 suite: unoptimized %.2f ms, optimized %.2f ms, speedup %.2fx\n%!"
-    (before_total *. 1e3) (after_total *. 1e3)
-    (before_total /. after_total);
-  let oc = open_out "BENCH_kernels.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"kernels\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"e1_suite\": {\n";
-  Printf.fprintf oc "    \"before_ms\": %.2f,\n" (before_total *. 1e3);
-  Printf.fprintf oc "    \"after_ms\": %.2f,\n" (after_total *. 1e3);
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" (before_total /. after_total);
-  Printf.fprintf oc "    \"queries\": [\n";
-  List.iteri
-    (fun i (((name, b), (_, a)), (_, kernels)) ->
-      Printf.fprintf oc
-        "      {\"name\": %S, \"before_ms\": %.2f, \"after_ms\": %.2f, \
-         \"speedup\": %.2f, \"kernels\": [%s]}%s\n"
-        name (b *. 1e3) (a *. 1e3) (b /. a)
-        (String.concat ", " (List.map (Printf.sprintf "%S") kernels))
-        (if i = List.length before - 1 then "" else ","))
-    (List.combine (List.combine before after) selections);
-  Printf.fprintf oc "    ]\n";
-  Printf.fprintf oc "  }\n";
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_kernels.json\n%!"
-
-(* -------------------------------------------------------------------- F1 *)
-
-(* Conjunct fusion: σ-products of filters and selection pushdown into
-   certified generators (lib/fsa/product.ml).  Reruns the E1 suite and
-   two fusion-shaped focus queries with STRDB_FUSE flipped at runtime on
-   identical workloads, and reports the product-construction counters
-   (sync vs sequential vs budget fallbacks). *)
-let fusion_bench () =
-  B.section "F1 — conjunct fusion: σ-products + generation pushdown";
-  let min_time = if quick then 0.1 else 0.3 in
-  let db = Workload.genomic_db ~seed:11 ~n:(if quick then 8 else 12) ~len:6 in
-  (* Longer strings for the pushdown query: more prefixes per row for
-     the fused product to prune before materialization. *)
-  let db_long =
-    Workload.genomic_db ~seed:13 ~n:(if quick then 8 else 12)
-      ~len:(if quick then 16 else 24)
-  in
-  let focus =
-    [
-      ( "QF1 prefixes of seq matching (gc+a)*",
-        db_long,
-        [ "x" ],
-        Formula.Exists
-          ( "y",
-            Formula.and_list
-              [
-                Formula.Rel ("seq", [ "y" ]);
-                Formula.Str (Combinators.prefix "x" "y");
-                Formula.Str (Regex_embed.matches "x" (Regex.parse "(gc+a)*"));
-              ] ) );
-      ( "QF2 seqs containing both gc and ca",
-        (* Multi-filter σ-fusion is roughly break-even in this engine:
-           the saved passes are offset by the product's wider per-row
-           frontier, and a selective cheapest-first cascade already skips
-           most of the later passes.  Reported to keep the trade-off
-           visible; the pushdown query above is where fusion pays. *)
-        Workload.genomic_db ~seed:17 ~n:512 ~len:20,
-        [ "x" ],
-        Formula.and_list
-          [
-            Formula.Rel ("seq", [ "x" ]);
-            Formula.Str
-              (Regex_embed.matches "x" (Regex.parse "(a+c+g+t)*gc(a+c+g+t)*"));
-            Formula.Str
-              (Regex_embed.matches "x" (Regex.parse "(a+c+g+t)*ca(a+c+g+t)*"));
-          ] );
-    ]
-  in
-  let clear () =
-    Runtime.clear_cache ();
-    Compile.clear_cache ();
-    Optimize.clear_cache ();
-    Limitation.clear_cache ();
-    Generate.clear_spec_cache ();
-    Product.clear_cache ()
-  in
-  let run_suite () =
-    List.map
-      (fun (name, free, phi) ->
-        let q = Query.make ~free phi in
-        let dt = B.time_per_run ~min_time (fun () -> Query.run dna db q) in
-        (name, dt))
-      (e1_queries ())
-  in
-  let run_focus () =
-    List.map
-      (fun (name, fdb, free, phi) ->
-        let q = Query.make ~free phi in
-        let dt = B.time_per_run ~min_time (fun () -> Query.run dna fdb q) in
-        (name, dt))
-      focus
-  in
-  Product.set_enabled false;
-  clear ();
-  let e1_before = run_suite () in
-  let focus_before = run_focus () in
-  Product.set_enabled true;
-  clear ();
-  Product.reset_stats ();
-  let e1_after = run_suite () in
-  let focus_after = run_focus () in
-  let stats = Product.stats () in
-  let total l = List.fold_left (fun acc (_, dt) -> acc +. dt) 0.0 l in
-  let e1_bt = total e1_before and e1_at = total e1_after in
-  List.iter2
-    (fun (name, b) (_, a) ->
-      Printf.printf "  %-38s unfused %8.2f ms  fused %8.2f ms  %5.2fx\n%!" name
-        (b *. 1e3) (a *. 1e3) (b /. a))
-    (e1_before @ focus_before)
-    (e1_after @ focus_after);
-  Printf.printf "  E1 suite: unfused %.2f ms, fused %.2f ms, speedup %.2fx\n%!"
-    (e1_bt *. 1e3) (e1_at *. 1e3) (e1_bt /. e1_at);
-  Printf.printf
-    "  products: %d attempts, %d sync, %d sequential, %d budget fallbacks \
-     (budget %d states), %d cache hits\n%!"
-    stats.Product.attempts stats.Product.sync_built stats.Product.seq_built
-    stats.Product.budget_fallbacks (Product.state_budget ())
-    stats.Product.cache_hits;
-  let oc = open_out "BENCH_fusion.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"fusion\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"product_state_budget\": %d,\n" (Product.state_budget ());
-  Printf.fprintf oc "  \"e1_suite\": {\n";
-  Printf.fprintf oc "    \"unfused_ms\": %.2f,\n" (e1_bt *. 1e3);
-  Printf.fprintf oc "    \"fused_ms\": %.2f,\n" (e1_at *. 1e3);
-  Printf.fprintf oc "    \"speedup\": %.2f,\n" (e1_bt /. e1_at);
-  Printf.fprintf oc "    \"queries\": [\n";
-  List.iteri
-    (fun i ((name, b), (_, a)) ->
-      Printf.fprintf oc
-        "      {\"name\": %S, \"unfused_ms\": %.2f, \"fused_ms\": %.2f, \
-         \"speedup\": %.2f}%s\n"
-        name (b *. 1e3) (a *. 1e3) (b /. a)
-        (if i = List.length e1_before - 1 then "" else ","))
-    (List.combine e1_before e1_after);
-  Printf.fprintf oc "    ]\n";
-  Printf.fprintf oc "  },\n";
-  Printf.fprintf oc "  \"focus_queries\": [\n";
-  List.iteri
-    (fun i ((name, b), (_, a)) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"unfused_ms\": %.2f, \"fused_ms\": %.2f, \
-         \"speedup\": %.2f}%s\n"
-        name (b *. 1e3) (a *. 1e3) (b /. a)
-        (if i = List.length focus_before - 1 then "" else ","))
-    (List.combine focus_before focus_after);
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"product_stats\": {\"attempts\": %d, \"sync_built\": %d, \
-     \"seq_built\": %d, \"budget_fallbacks\": %d, \"ineligible\": %d, \
-     \"cache_hits\": %d}\n"
-    stats.Product.attempts stats.Product.sync_built stats.Product.seq_built
-    stats.Product.budget_fallbacks stats.Product.ineligible
-    stats.Product.cache_hits;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_fusion.json\n%!"
 
 (* ------------------------------------------------------------------- T51 *)
 
@@ -1012,19 +723,15 @@ let index_bench () =
         Formula.Str (Regex_embed.matches "x" (Regex.parse (any ^ motif ^ any)))
       )
   in
-  let saved = Store.enabled () in
-  Fun.protect ~finally:(fun () -> Store.set_enabled saved) @@ fun () ->
   (* --- Q7 through Eval: scan path vs index path ------------------- *)
   let q7_rows =
     List.map
       (fun n ->
         let db = Workload.planted_motif_db ~seed:101 ~n ~len ~motif ~hit_rate in
         let st, build = B.time_once (fun () -> Store.create dna db) in
-        Store.set_enabled false;
-        let scan_ans = Eval.run ~store:st dna db ~free:[ "x" ] q7 in
+        let scan_ans = Eval.run dna db ~free:[ "x" ] q7 in
         let scan = B.time_per_run ~min_time (fun () ->
-            ignore (Eval.run ~store:st dna db ~free:[ "x" ] q7)) in
-        Store.set_enabled true;
+            ignore (Eval.run dna db ~free:[ "x" ] q7)) in
         let index_ans = Eval.run ~store:st dna db ~free:[ "x" ] q7 in
         if index_ans <> scan_ans then
           failwith "index bench: Q7 answers differ between scan and probe";
@@ -1123,11 +830,9 @@ let index_bench () =
             ~hit_rate:rate
         in
         let st = Store.create dna db in
-        Store.set_enabled false;
-        let scan_ans = Eval.run ~store:st dna db ~free:[ "x" ] q7 in
+        let scan_ans = Eval.run dna db ~free:[ "x" ] q7 in
         let scan = B.time_per_run ~min_time (fun () ->
-            ignore (Eval.run ~store:st dna db ~free:[ "x" ] q7)) in
-        Store.set_enabled true;
+            ignore (Eval.run dna db ~free:[ "x" ] q7)) in
         let index_ans = Eval.run ~store:st dna db ~free:[ "x" ] q7 in
         if index_ans <> scan_ans then
           failwith "index bench: sweep answers differ between scan and probe";
@@ -1207,7 +912,7 @@ let serve_bench () =
   let n = if quick then 2_000 else 50_000 in
   let len = 20 in
   (* Selective Q7 side: a server's repeated queries are worth caching
-     when planning (compile, fusion products, certification, index
+     when planning (compile, certification, pushdown products, index
      probes) is a real fraction of the request, i.e. when the probes
      leave few survivor rows to execute over.  The 10-char motif makes
      every factor probe nearly exact, so cached execution touches only
@@ -1452,8 +1157,6 @@ let serve_bench () =
 
 let only_runtime = Array.exists (fun a -> a = "runtime") Sys.argv
 let only_parallel = Array.exists (fun a -> a = "parallel") Sys.argv
-let only_kernels = Array.exists (fun a -> a = "kernels") Sys.argv
-let only_fusion = Array.exists (fun a -> a = "fusion") Sys.argv
 let only_index = Array.exists (fun a -> a = "index") Sys.argv
 let only_serve = Array.exists (fun a -> a = "serve") Sys.argv
 
@@ -1468,18 +1171,6 @@ let () =
     Printf.printf "strdb benchmark harness — parallel section only (%s mode)\n"
       (if quick then "quick" else "full");
     parallel_bench ();
-    exit 0
-  end;
-  if only_kernels then begin
-    Printf.printf "strdb benchmark harness — kernels section only (%s mode)\n"
-      (if quick then "quick" else "full");
-    kernel_bench ();
-    exit 0
-  end;
-  if only_fusion then begin
-    Printf.printf "strdb benchmark harness — fusion section only (%s mode)\n"
-      (if quick then "quick" else "full");
-    fusion_bench ();
     exit 0
   end;
   if only_index then begin
@@ -1513,8 +1204,6 @@ let () =
   lba_bench ();
   runtime_bench ();
   parallel_bench ();
-  kernel_bench ();
-  fusion_bench ();
   index_bench ();
   serve_bench ();
   Printf.printf "\nall experiment sections completed.\n"

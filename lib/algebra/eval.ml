@@ -181,46 +181,38 @@ let conjunct_cost sigma ~vars s =
   match Strdb_calculus.Compile.compile sigma ~vars s with
   | exception _ -> (max_int, max_int, max_int)
   | fsa ->
-      let fsa =
-        if Strdb_fsa.Runtime.enabled () then Strdb_fsa.Optimize.optimized fsa
-        else fsa
-      in
+      let fsa = Strdb_fsa.Optimize.optimized fsa in
       ( Strdb_fsa.Optimize.shape_rank (Strdb_fsa.Optimize.shape_of fsa),
         fsa.Strdb_fsa.Fsa.num_states,
         Strdb_fsa.Fsa.size fsa )
 
-(* Gated with the rest of the optimization layer: with STRDB_OPT off the
-   planner keeps the original formula order, so before/after benchmarks
-   compare against the unoptimized engine. *)
 let by_cost sigma vars_of l =
-  if not (Strdb_fsa.Optimize.enabled ()) then l
-  else
-    List.stable_sort
-      (fun a b ->
-        compare (conjunct_cost sigma ~vars:(vars_of a) a)
-          (conjunct_cost sigma ~vars:(vars_of b) b))
-      l
+  List.stable_sort
+    (fun a b ->
+      compare (conjunct_cost sigma ~vars:(vars_of a) a)
+        (conjunct_cost sigma ~vars:(vars_of b) b))
+    l
 
 (* The shape/kernel annotation shown by [explain]: what the optimized
-   automaton looks like and which acceptance kernel will run on it. *)
+   automaton looks like and which kernel will run on it. *)
+let annotate_fsa ~kernel fsa =
+  let fsa = Strdb_fsa.Optimize.optimized fsa in
+  Printf.sprintf "%s; %s"
+    (Strdb_fsa.Optimize.describe fsa)
+    (match kernel with
+    | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
+    | `Generate -> "lazy enumerator")
+
 let annotate sigma ~vars ~kernel s =
   match Strdb_calculus.Compile.compile sigma ~vars s with
   | exception _ -> "shape unknown (compilation failed)"
-  | fsa ->
-      let fsa =
-        if Strdb_fsa.Runtime.enabled () then Strdb_fsa.Optimize.optimized fsa
-        else fsa
-      in
-      Printf.sprintf "%s; %s" (Strdb_fsa.Optimize.describe fsa)
-        (match kernel with
-        | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
-        | `Generate -> "lazy enumerator")
+  | fsa -> annotate_fsa ~kernel fsa
 
-(* A σ_A filter over bound columns: one shared FSA (a compiled conjunct
-   or a fused product), one acceptance run per row.  Resolve the columns
-   once and build the batch in a single pass — no intermediate
-   array/list round-trip — then hand it to [Run.accepts_batch], which
-   spreads the independent per-row searches over the pool. *)
+(* A σ_A filter over bound columns: one shared compiled FSA, one
+   acceptance run per row.  Resolve the columns once and build the batch
+   in a single pass — no intermediate array/list round-trip — then hand
+   it to [Run.accepts_batch], which spreads the independent per-row
+   searches over the pool. *)
 let filter_rows_fsa pool t fsa vars rows =
   match rows with
   | [] -> [] (* nothing to scan: skip compilation of the batch entirely *)
@@ -250,61 +242,6 @@ let filter_rows_fsa pool t fsa vars rows =
               keep.(!i))
             rows)
 
-(* --------------------------------------------------- conjunct fusion *)
-
-(* σ_A(σ_B(e)) = σ_{A×B}(e): greedily fold the cost-ordered filters
-   into merged-frame products (Product.fuse), so each fused group costs
-   one batch pass instead of one per conjunct.  Singleton groups take
-   the classic path; with STRDB_FUSE=0 every group is a singleton and
-   the unfused engine is reproduced exactly. *)
-let fuse_filters sigma filters =
-  let compiled s =
-    match Strdb_calculus.Compile.compile sigma ~vars:(S.vars s) s with
-    | exception _ -> None
-    | fsa -> Some (fsa, S.vars s)
-  in
-  if not (Strdb_fsa.Product.enabled ()) then
-    List.map (fun s -> ([ s ], None)) filters
-  else begin
-    let close cur groups =
-      match cur with
-      | [], _ -> groups
-      | members, fused -> (List.rev members, fused) :: groups
-    in
-    let groups, last =
-      List.fold_left
-        (fun (groups, cur) s ->
-          match compiled s with
-          | None ->
-              (* uncompilable conjunct: isolate it on the classic path *)
-              (close ([ s ], None) (close cur groups), ([], None))
-          | Some cf -> (
-              match cur with
-              | [], _ -> (groups, ([ s ], Some cf))
-              | members, Some pf -> (
-                  match Strdb_fsa.Product.fuse pf cf with
-                  | Some pf' -> (groups, (s :: members, Some pf'))
-                  | None -> (close cur groups, ([ s ], Some cf)))
-              | _ :: _, None -> assert false))
-        ([], ([], None))
-        filters
-    in
-    List.rev (close last groups)
-  end
-
-(* Plan annotation for an already-built (fused) automaton: the shape and
-   state/transition counts of what will actually run, plus the kernel. *)
-let annotate_fsa ~kernel fsa =
-  let fsa =
-    if Strdb_fsa.Runtime.enabled () then Strdb_fsa.Optimize.optimized fsa
-    else fsa
-  in
-  Printf.sprintf "%s; %s"
-    (Strdb_fsa.Optimize.describe fsa)
-    (match kernel with
-    | `Accepts -> Strdb_fsa.Runtime.kernel_name fsa
-    | `Generate -> "lazy enumerator")
-
 (* Try to use [s] as a generator from the current table: returns the
    compiled FSA, the known/unknown split and the per-row output bound. *)
 let certify_generator sigma t s =
@@ -332,7 +269,7 @@ let certify_generator sigma t s =
    the joined column, the survivors are re-verified by the automaton:
    exactness never depends on the index, only speed does. *)
 let index_prune st sigma strs (r, args) =
-  if not (Store.enabled () && Store.indexed st r) then None
+  if not (Store.indexed st r) then None
   else begin
     let qg = Store.q st in
     let cand = ref None in
@@ -345,12 +282,9 @@ let index_prune st sigma strs (r, args) =
               match Strdb_calculus.Compile.compile sigma ~vars:[ v ] s with
               | exception _ -> ()
               | fsa -> (
-                  let fsa =
-                    if Strdb_fsa.Runtime.enabled () then
-                      Strdb_fsa.Optimize.optimized fsa
-                    else fsa
-                  in
-                  match Factors.necessary ~q:qg fsa with
+                  match
+                    Factors.necessary ~q:qg (Strdb_fsa.Optimize.optimized fsa)
+                  with
                   | Factors.Top -> ()
                   | Factors.Factors fs -> (
                       match Store.candidates st ~rel:r ~col:j ~factors:fs with
@@ -464,36 +398,21 @@ let prepare_unsafe ?store sigma db ~free phi =
             gens
         in
         if filters <> [] then begin
-          (* σ-fusion: adjacent fusable filters collapse into one
-             product automaton and one batch pass. *)
+          (* One cost-ordered pass per filter: a cheap selective filter
+             shrinks the table before the next one runs. *)
           List.iter
-            (function
-              | [ s ], _ ->
-                  record
-                    (Filter
-                       ( describe_conjunct (F.Str s),
-                         annotate sigma ~vars:(S.vars s) ~kernel:`Accepts s ));
-                  emit
-                    (Plan.FilterFsa
-                       {
-                         fsa =
-                           Strdb_calculus.Compile.compile sigma
-                             ~vars:(S.vars s) s;
-                         frame = S.vars s;
-                       })
-              | members, Some (pfsa, pframe) ->
-                  record
-                    (Filter
-                       ( Printf.sprintf "σ-fusion of %d conjuncts: %s"
-                           (List.length members)
-                           (String.concat " × "
-                              (List.map
-                                 (fun s -> describe_conjunct (F.Str s))
-                                 members)),
-                         annotate_fsa ~kernel:`Accepts pfsa ));
-                  emit (Plan.FilterFsa { fsa = pfsa; frame = pframe })
-              | _ -> assert false)
-            (fuse_filters sigma filters);
+            (fun s ->
+              record
+                (Filter
+                   ( describe_conjunct (F.Str s),
+                     annotate sigma ~vars:(S.vars s) ~kernel:`Accepts s ));
+              emit
+                (Plan.FilterFsa
+                   {
+                     fsa = Strdb_calculus.Compile.compile sigma ~vars:(S.vars s) s;
+                     frame = S.vars s;
+                   }))
+            filters;
           remaining := gens
         end
         else begin
@@ -526,32 +445,30 @@ let prepare_unsafe ?store sigma db ~free phi =
                        output language. *)
                     let gen_frame = known @ unknown in
                     let fsa, pushed =
-                      if not (Strdb_fsa.Product.enabled ()) then (fsa, [])
-                      else
-                        List.fold_left
-                          (fun (acc, pushed) s' ->
-                            if
-                              s' == s
-                              || not
-                                   (List.for_all
-                                      (fun v -> List.mem v gen_frame)
-                                      (S.vars s'))
-                            then (acc, pushed)
-                            else
-                              match
-                                Strdb_calculus.Compile.compile sigma
-                                  ~vars:(S.vars s') s'
-                              with
-                              | exception _ -> (acc, pushed)
-                              | fb -> (
-                                  match
-                                    Strdb_fsa.Product.fuse (acc, gen_frame)
-                                      (fb, S.vars s')
-                                  with
-                                  | Some (p, frame) when frame = gen_frame ->
-                                      (p, s' :: pushed)
-                                  | _ -> (acc, pushed)))
-                          (fsa, []) gens
+                      List.fold_left
+                        (fun (acc, pushed) s' ->
+                          if
+                            s' == s
+                            || not
+                                 (List.for_all
+                                    (fun v -> List.mem v gen_frame)
+                                    (S.vars s'))
+                          then (acc, pushed)
+                          else
+                            match
+                              Strdb_calculus.Compile.compile sigma
+                                ~vars:(S.vars s') s'
+                            with
+                            | exception _ -> (acc, pushed)
+                            | fb -> (
+                                match
+                                  Strdb_fsa.Product.fuse (acc, gen_frame)
+                                    (fb, S.vars s')
+                                with
+                                | Some (p, frame) when frame = gen_frame ->
+                                    (p, s' :: pushed)
+                                | _ -> (acc, pushed)))
+                        (fsa, []) gens
                     in
                     let pushed = List.rev pushed in
                     record

@@ -22,8 +22,8 @@
     explanation (use {!Safety.evaluate_truncated} for those).
 
     Evaluation is split into {!prepare} (build a {!Plan.t}: join order,
-    compiled/fused automata, limitation certificates, index-probe
-    survivors — every data-independent decision) and {!execute} (replay
+    compiled automata, limitation certificates, index-probe survivors —
+    every data-independent decision) and {!execute} (replay
     the plan over the rows).  [prepare] then [execute] is exactly {!run};
     the split is what lets the query server cache prepared plans and
     execute one plan concurrently from many sessions.  Both halves trap
@@ -50,8 +50,7 @@ val run :
     for every domain count.
 
     [store] enables σ-index pruning: when the store was built from this
-    very database (physical equality) and [Store.enabled ()] holds, a
-    relation scan first probes the store's q-gram indexes with the
+    very database (physical equality), a relation scan first probes the store's q-gram indexes with the
     necessary factors ({!Strdb_fsa.Factors.necessary}) of each
     single-variable string conjunct over the scanned columns, and only
     the candidate rows are joined.  The pruned conjuncts still run as
@@ -65,9 +64,11 @@ val prepare :
   free:Strdb_calculus.Formula.var list ->
   Strdb_calculus.Formula.t ->
   (Plan.t, string) result
-(** Plan without touching a row: compile and fuse the automata, order
-    the conjuncts, certify the generators (Theorem 5.2), run the
-    σ-index probes and materialise their survivor tuples.  Everything a
+(** Plan without touching a row: compile the automata, order the
+    conjuncts, certify the generators (Theorem 5.2) and push the
+    selections they bind into them, run the σ-index probes and
+    materialise their survivor tuples.  The plan depends only on the
+    arguments: no global setting is read.  Everything a
     plan captures is immutable, so the result may be kept, shared
     across domains and executed many times; {!Plan.explain} renders it.
     Rejects queries outside the generator-pipeline fragment, unbindable

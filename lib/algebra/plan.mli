@@ -1,8 +1,8 @@
 (** First-class query plans: everything {!Eval.prepare} decides, nothing
     it computes from rows.
 
-    A plan captures the join order, the compiled (and fused) automata of
-    the filter and generator steps, the Theorem 5.2 limitation
+    A plan captures the join order, the compiled automata of the filter
+    and generator steps (a generator's with its pushed-down selections), the Theorem 5.2 limitation
     certificates with their per-row bound functions, and the
     index-probe survivor sets — i.e. every decision
     [Eval.plan_and_run] used to re-make on each call.  All of those
@@ -45,8 +45,7 @@ type exec_step =
   | FilterFsa of {
       fsa : Strdb_fsa.Fsa.t;
       frame : Strdb_calculus.Formula.var list;
-    }  (** σ_A over the bound [frame] columns — a single compiled
-          conjunct or a fused product. *)
+    }  (** σ_A over the bound [frame] columns: one compiled conjunct. *)
   | Gen of {
       fsa : Strdb_fsa.Fsa.t;
       known : Strdb_calculus.Formula.var list;

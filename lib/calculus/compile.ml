@@ -328,36 +328,33 @@ let set_cache_limit n =
       end)
 
 let compile ?(trim = true) sigma ~vars phi =
-  if not (Strdb_fsa.Runtime.enabled ()) then compile_uncached ~trim sigma ~vars phi
-  else begin
-    let key = (Strdb_util.Alphabet.chars sigma, vars, phi, trim) in
-    let cached =
+  let key = (Strdb_util.Alphabet.chars sigma, vars, phi, trim) in
+  let cached =
+    Mutex.protect cache_mu (fun () ->
+        match Hashtbl.find_opt cache key with
+        | Some e ->
+            incr hits;
+            incr tick;
+            e.stamp <- !tick;
+            Some e.fsa
+        | None ->
+            incr misses;
+            None)
+  in
+  match cached with
+  | Some fsa -> fsa
+  | None ->
+      let fsa = compile_uncached ~trim sigma ~vars phi in
       Mutex.protect cache_mu (fun () ->
           match Hashtbl.find_opt cache key with
           | Some e ->
-              incr hits;
               incr tick;
               e.stamp <- !tick;
-              Some e.fsa
+              e.fsa (* a concurrent compile won; share its automaton *)
           | None ->
-              incr misses;
-              None)
-    in
-    match cached with
-    | Some fsa -> fsa
-    | None ->
-        let fsa = compile_uncached ~trim sigma ~vars phi in
-        Mutex.protect cache_mu (fun () ->
-            match Hashtbl.find_opt cache key with
-            | Some e ->
-                incr tick;
-                e.stamp <- !tick;
-                e.fsa (* a concurrent compile won; share its automaton *)
-            | None ->
-                evict_to_fit ();
-                incr tick;
-                Hashtbl.replace cache key { fsa; stamp = !tick };
-                fsa)
-  end
+              evict_to_fit ();
+              incr tick;
+              Hashtbl.replace cache key { fsa; stamp = !tick };
+              fsa)
 
 let compile_ordered sigma phi = compile sigma ~vars:(Sformula.vars phi) phi

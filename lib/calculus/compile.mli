@@ -33,10 +33,9 @@ val compile :
     [trim] (default true) prunes useless states — property 3; pass [false]
     for the size-ablation benches.
 
-    Results are memoized on [(sigma, vars, phi, trim)] while the
-    {!Strdb_fsa.Runtime} is enabled: repeated compilations (per conjunct,
-    per query) return the same — physically shared — automaton, which
-    also lets the runtime's per-FSA dispatch index hit its cache.  The
+    Results are memoized on [(sigma, vars, phi, trim)]: repeated
+    compilations (per conjunct, per query) return the same — physically
+    shared — automaton, which also lets the runtime's per-FSA dispatch index hit its cache.  The
     memo is bounded with per-entry LRU eviction (never a full reset, so
     hot entries keep their physical identity across unrelated churn) and
     is guarded by a mutex — safe to call from pool workers; compilation

@@ -1,8 +1,8 @@
 (* Two implementations of the lazy-tape enumerator: the naive reference
    (string-valued committed prefixes, List.filter dispatch — the original
    code) and the fast runtime-backed one (interned prefix ids, indexed
-   dispatch).  [accepted] picks per the Runtime toggle; the qcheck suite
-   asserts they agree. *)
+   dispatch).  The public entry points run the fast one; the naive one
+   is the test oracle, and the qcheck suite asserts they agree. *)
 
 (* ------------------------------------------------------------------ *)
 (* Naive reference implementation. *)
@@ -341,9 +341,7 @@ let accepted_fast ?(local_index = false) (a : Fsa.t) ~max_len =
   done;
   Hashtbl.fold (fun tup () acc -> tup :: acc) results [] |> List.sort compare
 
-let accepted a ~max_len =
-  if Runtime.enabled () then accepted_fast (Optimize.optimized a) ~max_len
-  else accepted_naive a ~max_len
+let accepted a ~max_len = accepted_fast (Optimize.optimized a) ~max_len
 
 (* Optimized-specialization memo for the generator pipeline, keyed on
    the automaton's physical identity plus the bound input strings.  A
@@ -352,8 +350,7 @@ let accepted a ~max_len =
    product — and the optimize pass that trims it, usually to almost
    nothing — is paid once per (automaton, inputs) instead of once per
    row visit.  Same lock-free bounded-list pattern as the other
-   caches; gated on {!Optimize.enabled} with the rest of the
-   optimization layer. *)
+   caches. *)
 let spec_cache : ((Fsa.t * string list) * Fsa.t) list Atomic.t =
   Atomic.make []
 
@@ -392,11 +389,5 @@ let specialize_optimized a inputs =
       spec_insert (a, inputs) (Optimize.run (Specialize.specialize a inputs))
 
 let outputs a ~inputs ~max_len =
-  if Runtime.enabled () then
-    let spec =
-      if Optimize.enabled () then specialize_optimized a inputs
-      else Specialize.specialize a inputs
-    in
-    accepted_fast ~local_index:true spec ~max_len
-  else accepted_naive (Specialize.specialize a inputs) ~max_len
+  accepted_fast ~local_index:true (specialize_optimized a inputs) ~max_len
 let is_empty_upto a ~max_len = accepted a ~max_len = []

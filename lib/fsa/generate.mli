@@ -16,8 +16,7 @@ val accepted : Fsa.t -> max_len:int -> string list list
     without having examined the whole of some tape, all extensions of the
     committed prefix up to [max_len] are accepted and are all enumerated.
 
-    With the {!Runtime} enabled (default) the enumerator interns committed
-    prefixes in a pool — committing a character is O(1) instead of an O(n)
+    The enumerator interns committed prefixes in a pool — committing a character is O(1) instead of an O(n)
     string copy — and dispatches transitions through the indexed table. *)
 
 val accepted_naive : Fsa.t -> max_len:int -> string list list
@@ -25,8 +24,9 @@ val accepted_naive : Fsa.t -> max_len:int -> string list list
     dispatch); the reference the qcheck suite checks {!accepted} against. *)
 
 val accepted_fast : ?local_index:bool -> Fsa.t -> max_len:int -> string list list
-(** The runtime-backed enumerator, regardless of the toggle (for direct
-    cross-checking in tests and benches).  [~local_index:true] builds the
+(** The runtime-backed enumerator on [a] as given, without the optimize
+    pass {!accepted} applies first (for direct cross-checking in tests and
+    benches).  [~local_index:true] builds the
     dispatch index privately instead of through the bounded global cache
     — the right choice for one-shot automata such as per-row
     specialisations, whose identity-keyed entries would only evict the
@@ -37,8 +37,7 @@ val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
     (Lemma 3.1) and enumerates the accepted contents of the remaining
     tapes, each bounded by [max_len]; sorted.
 
-    While {!Optimize.enabled}, the specialized product is run through
-    [Optimize.run] (trimming usually collapses it drastically) and the
+    The specialized product is run through [Optimize.run] (trimming usually collapses it drastically) and the
     result is memoized on [(a, inputs)] — bounded and domain-safe — so
     repeated expansions of the same bound row amortize the Lemma 3.1
     construction. *)

@@ -461,9 +461,7 @@ let analyze_raw ~max_crossing_states ~max_window (a : Fsa.t) ~inputs ~outputs
    typical query put together — and the Eval planner re-certifies the
    same compile-memoized automaton on every run.  Verdicts are immutable
    (the [eval] closure captures only the automaton's sizes), so caching
-   is purely a time win.  Gated on {!Optimize.enabled} with the rest of
-   the optimization layer, which keeps before/after benchmarks honest
-   and is how the qcheck suite cross-checks both configurations. *)
+   is purely a time win. *)
 let cache :
     ((Fsa.t * int * int * int list * int list) * (verdict, string) result)
     list
@@ -514,17 +512,14 @@ let rec insert key v =
 
 let analyze ?(max_crossing_states = 50000) ?(max_window = 12) (a : Fsa.t)
     ~inputs ~outputs =
-  if not (Optimize.enabled ()) then
-    analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs
-  else
-    let key = (a, max_crossing_states, max_window, inputs, outputs) in
-    match List.find_opt (fun (k, _) -> key_eq k key) (Atomic.get cache) with
-    | Some (_, v) ->
-        Atomic.incr cache_hits;
-        v
-    | None ->
-        Atomic.incr cache_misses;
-        insert key (analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs)
+  let key = (a, max_crossing_states, max_window, inputs, outputs) in
+  match List.find_opt (fun (k, _) -> key_eq k key) (Atomic.get cache) with
+  | Some (_, v) ->
+      Atomic.incr cache_hits;
+      v
+  | None ->
+      Atomic.incr cache_misses;
+      insert key (analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs)
 
 let limits a ~inputs ~outputs =
   match analyze a ~inputs ~outputs with Ok (Limited _) -> true | _ -> false

@@ -65,10 +65,8 @@ val analyze :
     construction exceeds [max_crossing_states].
 
     Verdicts are memoized on the FSA's physical identity and the analysis
-    parameters (bounded, domain-safe) while {!Optimize.enabled} — the
-    crossing-sequence construction dominates repeated query planning
-    otherwise.  With the optimization layer disabled every call
-    re-analyzes from scratch. *)
+    parameters (bounded, domain-safe) — the crossing-sequence
+    construction dominates repeated query planning otherwise. *)
 
 val clear_cache : unit -> unit
 (** Drop memoized verdicts and reset the counters (benchmark hygiene). *)

@@ -13,22 +13,6 @@
    specialisation. *)
 
 (* ------------------------------------------------------------------ *)
-(* Toggle: STRDB_OPT=0 (or false/off/no) disables the pass engine-wide;
-   benches flip it at runtime for before/after on identical workloads. *)
-
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_OPT" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "false" | "off" | "no" -> false
-        | _ -> true)
-    | None -> true)
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
-(* ------------------------------------------------------------------ *)
 (* Shape analysis (the Section 5 taxonomy).  A tape is one-way when no
    transition moves its head left; the whole FSA is unidirectional when
    every tape is one-way, right-restricted when at most one tape is
@@ -266,13 +250,11 @@ let rec insert a b =
       else insert a b
 
 let optimized (a : Fsa.t) =
-  if not (enabled ()) then a
-  else
-    match List.find_opt (fun (f, _) -> f == a) (Atomic.get cache) with
-    | Some (_, b) -> b
-    | None ->
-        let b = run a in
-        let b = if cost b < cost a then b else a in
-        insert a b
+  match List.find_opt (fun (f, _) -> f == a) (Atomic.get cache) with
+  | Some (_, b) -> b
+  | None ->
+      let b = run a in
+      let b = if cost b < cost a then b else a in
+      insert a b
 
 let clear_cache () = Atomic.set cache []

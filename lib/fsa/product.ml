@@ -6,49 +6,25 @@
    Soundness leans on one structural property of compiled automata
    (Theorem 3.1 normal form): every final state has no outgoing
    transition, so reaching a final state coincides with acceptance under
-   the halting semantics.  Both constructions check it ([normal_finals])
-   and both produce automata that satisfy it again, so products fold
+   the halting semantics.  The construction checks it ([normal_finals])
+   and produces automata that satisfy it again, so products fold
    n-ary. *)
 
 module Alphabet = Strdb_util.Alphabet
 
 type frame = string list
 
-(* ------------------------------------------------------------------ *)
-(* Toggles, mirroring the STRDB_OPT conventions. *)
-
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_FUSE" with
-    | Some s -> (
-        match String.lowercase_ascii (String.trim s) with
-        | "0" | "false" | "off" | "no" -> false
-        | _ -> true)
-    | None -> true)
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
-let default_state_budget = 4096
-
-let budget_flag =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_PRODUCT_STATES" with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-                  | Some n when n > 0 -> n
-                  | _ -> default_state_budget)
-    | None -> default_state_budget)
-
-let state_budget () = Atomic.get budget_flag
-let set_state_budget n = Atomic.set budget_flag (max 1 n)
+(* Cap on lazily-built synchronized product states.  Pairs that blow it
+   are phase-divergent (their synchronized space is infinite), so any
+   finite budget rejects them; this one bounds the cost of finding out. *)
+let state_budget = 4096
 
 (* ------------------------------------------------------------------ *)
-(* Counters, reported by the F1 bench. *)
+(* Counters, read by the benchmark traces. *)
 
 type stats = {
   attempts : int;
   sync_built : int;
-  seq_built : int;
   budget_fallbacks : int;
   ineligible : int;
   cache_hits : int;
@@ -56,7 +32,6 @@ type stats = {
 
 let c_attempts = Atomic.make 0
 let c_sync = Atomic.make 0
-let c_seq = Atomic.make 0
 let c_budget = Atomic.make 0
 let c_inel = Atomic.make 0
 let c_hits = Atomic.make 0
@@ -65,7 +40,6 @@ let stats () =
   {
     attempts = Atomic.get c_attempts;
     sync_built = Atomic.get c_sync;
-    seq_built = Atomic.get c_seq;
     budget_fallbacks = Atomic.get c_budget;
     ineligible = Atomic.get c_inel;
     cache_hits = Atomic.get c_hits;
@@ -73,7 +47,7 @@ let stats () =
 
 let reset_stats () =
   List.iter (fun c -> Atomic.set c 0)
-    [ c_attempts; c_sync; c_seq; c_budget; c_inel; c_hits ]
+    [ c_attempts; c_sync; c_budget; c_inel; c_hits ]
 
 (* ------------------------------------------------------------------ *)
 (* Frames. *)
@@ -128,10 +102,10 @@ let rec int_pow b e = if e = 0 then 1 else b * int_pow b (e - 1)
 
    Every move emitted is 0 or +1, so unidirectionality is preserved and
    the fused automaton keeps the linear one-way frontier kernel.  The
-   reachable state space is saturated breadth-first under the
-   [STRDB_PRODUCT_STATES] budget; factor pairs whose traversal phases
-   diverge unboundedly (a counter scan against a length scan, say) blow
-   the budget and report [Overflow], which is a semantic necessity —
+   reachable state space is saturated breadth-first under
+   [state_budget]; factor pairs whose traversal phases diverge
+   unboundedly (a counter scan against a length scan, say) blow the
+   budget and report [Overflow], which is a semantic necessity —
    their synchronized space genuinely is infinite — not just a cost
    guard. *)
 
@@ -167,7 +141,7 @@ let product_sync_impl ((a : Fsa.t), fa) ((b : Fsa.t), fb) =
     let nslots = !nslots in
     let a_slot = Array.map (fun m -> slot_of.(m)) a_pos in
     let b_slot = Array.map (fun m -> slot_of.(m)) b_pos in
-    let budget = state_budget () in
+    let budget = state_budget in
     let tr_budget = 64 * budget in
     let overflow = ref false in
     let tbl : (pstate, int) Hashtbl.t = Hashtbl.create 97 in
@@ -403,141 +377,7 @@ let product_sync fa fb =
   | Overflow | Ineligible -> None
 
 (* ------------------------------------------------------------------ *)
-(* Sequential composition: run A on the merged frame with B's private
-   tapes pinned at ⊢ (read ⊢, stay — they start there and A never moves
-   them), then from each A-final rewind every tape A may have moved back
-   to ⊢ one tape at a time, then run B with A's private tapes pinned.
-   Reaching an A-final is A-acceptance (normal form), the rewind always
-   completes, and the product's finals are B's finals lifted — so the
-   composition accepts exactly the intersection, for factors of any
-   shape.  The rewind moves heads left, so the result is general-shape:
-   the synchronized product is preferred when it applies. *)
-
-let product_seq ((a : Fsa.t), fa) ((b : Fsa.t), fb) =
-  if not (compatible (a, fa) (b, fb)) then None
-  else begin
-    let merged, a_pos, b_pos = frame_maps fa fb in
-    let k = List.length merged in
-    let sigma = a.Fsa.sigma in
-    let chars = List.map (fun c -> Symbol.Chr c) (Alphabet.chars sigma) in
-    let syms = Symbol.all sigma in
-    (* Tapes to rewind: the merged positions of A-tapes some A
-       transition moves; unmoved tapes never leave ⊢. *)
-    let moved = Array.make a.Fsa.arity false in
-    Array.iter
-      (fun (tr : Fsa.transition) ->
-        Array.iteri (fun i m -> if m <> 0 then moved.(i) <- true) tr.Fsa.moves)
-      a.Fsa.transitions;
-    let rw =
-      Array.to_list a_pos
-      |> List.filteri (fun i _ -> moved.(i))
-      |> List.sort compare |> Array.of_list
-    in
-    let nrw = Array.length rw in
-    let na = a.Fsa.num_states and nb = b.Fsa.num_states in
-    let r0 = na in
-    let b_off = na + nrw in
-    let num_states = na + nrw + nb in
-    let trs = ref [] in
-    let ntrs = ref 0 in
-    let tr_budget = 64 * max 64 (state_budget ()) in
-    let over = ref false in
-    let push t =
-      incr ntrs;
-      if !ntrs > tr_budget then over := true else trs := t :: !trs
-    in
-    (* A's transitions, lifted to the merged arity. *)
-    Array.iter
-      (fun (tr : Fsa.transition) ->
-        let read = Array.make k Symbol.Lend and moves = Array.make k 0 in
-        Array.iteri
-          (fun i m ->
-            read.(m) <- tr.Fsa.read.(i);
-            moves.(m) <- tr.Fsa.moves.(i))
-          a_pos;
-        push { Fsa.src = tr.Fsa.src; read; dst = tr.Fsa.dst; moves })
-      a.Fsa.transitions;
-    (* Rewind stage [j] pulls tape [rw.(j)] back to ⊢: loop left over
-       Σ ∪ {⊣}, advance on ⊢.  Already-rewound tapes, unmoved A-tapes
-       and B's private tapes all read ⊢; not-yet-rewound tapes hold an
-       unknown symbol, enumerated.  The same outgoing set is grafted
-       onto each A-final, which starts the rewind. *)
-    let stage_dst j = if j + 1 < nrw then r0 + j + 1 else b_off + b.Fsa.start in
-    let stage src j =
-      let t = rw.(j) in
-      let wild = Array.sub rw (j + 1) (nrw - j - 1) in
-      let emit read =
-        List.iter
-          (fun s ->
-            let r = Array.copy read in
-            r.(t) <- s;
-            let mv = Array.make k 0 in
-            mv.(t) <- -1;
-            push { Fsa.src; read = r; dst = r0 + j; moves = mv })
-          (chars @ [ Symbol.Rend ]);
-        let r = Array.copy read in
-        r.(t) <- Symbol.Lend;
-        push { Fsa.src; read = r; dst = stage_dst j; moves = Array.make k 0 }
-      in
-      let rec expand i read =
-        if i = Array.length wild then emit read
-        else
-          List.iter
-            (fun s ->
-              let r = Array.copy read in
-              r.(wild.(i)) <- s;
-              expand (i + 1) r)
-            syms
-      in
-      expand 0 (Array.make k Symbol.Lend)
-    in
-    if nrw = 0 then
-      List.iter
-        (fun f ->
-          push
-            {
-              Fsa.src = f;
-              read = Array.make k Symbol.Lend;
-              dst = b_off + b.Fsa.start;
-              moves = Array.make k 0;
-            })
-        (Fsa.finals_list a)
-    else begin
-      List.iter (fun f -> stage f 0) (Fsa.finals_list a);
-      for j = 0 to nrw - 1 do
-        stage (r0 + j) j
-      done
-    end;
-    (* B's transitions, lifted; all A-tapes sit at ⊢ after the rewind. *)
-    Array.iter
-      (fun (tr : Fsa.transition) ->
-        let read = Array.make k Symbol.Lend and moves = Array.make k 0 in
-        Array.iteri
-          (fun j m ->
-            read.(m) <- tr.Fsa.read.(j);
-            moves.(m) <- tr.Fsa.moves.(j))
-          b_pos;
-        push
-          {
-            Fsa.src = b_off + tr.Fsa.src;
-            read;
-            dst = b_off + tr.Fsa.dst;
-            moves;
-          })
-      b.Fsa.transitions;
-    let finals = List.map (fun q -> b_off + q) (Fsa.finals_list b) in
-    if !over then None
-    else
-      match
-        Fsa.make ~sigma ~arity:k ~num_states ~start:a.Fsa.start ~finals
-          ~transitions:(List.sort_uniq compare !trs)
-      with
-      | exception Fsa.Ill_formed _ -> None
-      | p -> Some (p, merged)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The memoized dispatcher.  Keyed on physical factor identities (the
+(* The memoized entry point.  Keyed on physical factor identities (the
    Compile memo hands out shared automata), so a query plan rebuilt for
    every run reuses one product — and with it the Optimize and Runtime
    caches keyed on the product's identity. *)
@@ -570,56 +410,38 @@ let rec insert key r =
 let clear_cache () = Atomic.set cache []
 
 let fuse ((a, fa) as left) ((b, fb) as right) =
-  if not (enabled ()) then None
-  else
-    match
-      List.find_opt
-        (fun ((a', fa', b', fb'), _) ->
-          a' == a && b' == b && fa' = fa && fb' = fb)
-        (Atomic.get cache)
-    with
-    | Some (_, r) ->
-        Atomic.incr c_hits;
-        r
-    | None ->
-        let r =
-          if not (compatible left right) then begin
-            Atomic.incr c_inel;
-            None
-          end
-          else begin
-            Atomic.incr c_attempts;
-            (* Optimized factors give smaller products; the passes
-               preserve the normal-finals property. *)
-            let a' = if Optimize.enabled () then Optimize.optimized a else a in
-            let b' = if Optimize.enabled () then Optimize.optimized b else b in
-            let seq () =
-              match product_seq (a', fa) (b', fb) with
-              | Some pf ->
-                  Atomic.incr c_seq;
-                  Some pf
-              | None -> None
-            in
-            match product_sync_impl (a', fa) (b', fb) with
-            | Built (p, f) ->
-                Atomic.incr c_sync;
-                Some (p, f)
-            | Overflow ->
-                (* Budget blowout means the synchronized space is too large
-                   (often genuinely infinite for phase-divergent factors).
-                   The sequential composition would still be exact, but its
-                   generate-then-test evaluation is no faster than leaving
-                   the conjuncts unfused — so fall back to the unfused plan
-                   and let the caller keep separate passes. *)
-                Atomic.incr c_budget;
-                None
-            | Ineligible -> seq ()
-          end
-        in
-        let r =
-          Option.map
-            (fun (p, f) ->
-              ((if Optimize.enabled () then Optimize.optimized p else p), f))
-            r
-        in
-        insert (a, fa, b, fb) r
+  match
+    List.find_opt
+      (fun ((a', fa', b', fb'), _) -> a' == a && b' == b && fa' = fa && fb' = fb)
+      (Atomic.get cache)
+  with
+  | Some (_, r) ->
+      Atomic.incr c_hits;
+      r
+  | None ->
+      let r =
+        if not (compatible left right) then begin
+          Atomic.incr c_inel;
+          None
+        end
+        else begin
+          Atomic.incr c_attempts;
+          (* Optimized factors give smaller products; the passes preserve
+             the normal-finals property. *)
+          match
+            product_sync_impl (Optimize.optimized a, fa) (Optimize.optimized b, fb)
+          with
+          | Built (p, f) ->
+              Atomic.incr c_sync;
+              Some (Optimize.optimized p, f)
+          | Overflow ->
+              (* Phase-divergent factors: keep the conjuncts unfused. *)
+              Atomic.incr c_budget;
+              None
+          | Ineligible ->
+              (* A two-way factor: the conjuncts stay separate passes. *)
+              Atomic.incr c_inel;
+              None
+        end
+      in
+      insert (a, fa, b, fb) r

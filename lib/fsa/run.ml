@@ -78,9 +78,7 @@ let accepts_dfs a ws = search ~order:`Dfs a ws
 
 let accepts a ws =
   check_input a ws;
-  (* Optimization rides the runtime toggle: with the runtime disabled we
-     are the naive reference baseline and must stay fully untouched. *)
-  let a = if Runtime.enabled () then Optimize.optimized a else a in
+  let a = Optimize.optimized a in
   match Runtime.try_accepts a ws with
   | Some b -> b
   | None -> accepts_naive a ws

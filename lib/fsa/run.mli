@@ -24,8 +24,8 @@ val successors : Fsa.t -> string array -> config -> config list
 
 val accepts : Fsa.t -> string list -> bool
 (** [accepts a ws] decides [ws ∈ L(a)] by search over the configuration
-    graph (Theorem 3.3): the packed, indexed engine of {!Runtime} when
-    available (and enabled), the naive search otherwise.
+    graph (Theorem 3.3): the optimized automaton on the packed, indexed
+    engine of {!Runtime} when it applies, the naive search otherwise.
     @raise Invalid_argument if the tuple arity differs from the FSA's or a
     string uses characters outside the alphabet. *)
 

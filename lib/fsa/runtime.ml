@@ -1,17 +1,6 @@
 module A = Strdb_util.Alphabet
 
 (* ------------------------------------------------------------------ *)
-(* Global fast-path toggle.  The naive reference implementations stay
-   available (Run.accepts_naive, Generate.accepted_naive); flipping this
-   off makes the public entry points use them, which is how the benches
-   measure before/after on identical workloads.  Atomic: the flag is
-   read on every accepts/compile call, including from pool workers. *)
-
-let enabled_flag = Atomic.make true
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-
-(* ------------------------------------------------------------------ *)
 (* A monomorphic int hash set with open addressing: the visited set of
    the configuration search when the packed key space is too large for a
    bitmap.  Slots store key+1 so that 0 can mean "empty" (keys are ≥ 0). *)
@@ -183,20 +172,10 @@ let outgoing rt q = rt.outgoing.(q)
 
 let cache : (Fsa.t * t) list Atomic.t = Atomic.make []
 
-(* The bound defaults to the compile memo's size (the index working set
-   is at most one index per live compiled FSA now that one-shot
-   specialised automata build local, uncached indices) and is
-   configurable through STRDB_INDEX_CACHE for unusual workloads. *)
-let default_cache_limit = 256
-
-let cache_limit =
-  Atomic.make
-    (match Sys.getenv_opt "STRDB_INDEX_CACHE" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | _ -> default_cache_limit)
-    | None -> default_cache_limit)
+(* The bound defaults to the compile memo's size: the index working set
+   is at most one index per live compiled FSA, since one-shot
+   specialised automata build local, uncached indices. *)
+let cache_limit = Atomic.make 256
 
 let set_cache_limit n = Atomic.set cache_limit (max 1 n)
 let get_cache_limit () = Atomic.get cache_limit
@@ -447,51 +426,44 @@ let twoway_accepts rt (a : Fsa.t) l codes tdelta =
   !accepted
 
 let try_accepts (a : Fsa.t) ws0 =
-  if not (enabled ()) then None
+  let rt = index a in
+  if not (indexable rt) then None
   else
-    let rt = index a in
-    if not (indexable rt) then None
-    else
-      let ws = Array.of_list ws0 in
-      let lens = Array.map String.length ws in
-      match layout a lens with
-      | None -> None
-      | Some l ->
-          (* Per-tape symbol ranks at every head position: turns the
-             symbol vector under the heads into plain int lookups. *)
-          let codes =
-            Array.map
-              (fun w ->
-                let n = String.length w in
-                Array.init (n + 2) (fun j ->
-                    if j = 0 then rt.lend_rank
-                    else if j = n + 1 then rt.rend_rank
-                    else A.rank a.sigma w.[j - 1]))
-              ws
-          in
-          (* Applying transition t to a packed key is adding a constant. *)
-          let tdelta =
-            Array.map
-              (fun (tr : Fsa.transition) ->
-                let d = ref (tr.dst - tr.src) in
-                Array.iteri (fun i m -> d := !d + (m * l.steps.(i))) tr.moves;
-                !d)
-              a.transitions
-          in
-          (* Shape dispatch: the frontier kernel for unidirectional
-             FSAs, the visited-set search otherwise.  Checked at
-             dispatch time (not index-build time) so STRDB_OPT=0
-             reverts cached indexes to the two-way engine too. *)
-          if rt.oneway && Optimize.enabled () then
-            Some (oneway_accepts rt a l codes tdelta)
-          else Some (twoway_accepts rt a l codes tdelta)
+    let ws = Array.of_list ws0 in
+    let lens = Array.map String.length ws in
+    match layout a lens with
+    | None -> None
+    | Some l ->
+        (* Per-tape symbol ranks at every head position: turns the
+           symbol vector under the heads into plain int lookups. *)
+        let codes =
+          Array.map
+            (fun w ->
+              let n = String.length w in
+              Array.init (n + 2) (fun j ->
+                  if j = 0 then rt.lend_rank
+                  else if j = n + 1 then rt.rend_rank
+                  else A.rank a.sigma w.[j - 1]))
+            ws
+        in
+        (* Applying transition t to a packed key is adding a constant. *)
+        let tdelta =
+          Array.map
+            (fun (tr : Fsa.transition) ->
+              let d = ref (tr.dst - tr.src) in
+              Array.iteri (fun i m -> d := !d + (m * l.steps.(i))) tr.moves;
+              !d)
+            a.transitions
+        in
+        (* Shape dispatch: the frontier kernel for unidirectional
+           FSAs, the visited-set search otherwise. *)
+        if rt.oneway then Some (oneway_accepts rt a l codes tdelta)
+        else Some (twoway_accepts rt a l codes tdelta)
 
 (* Which acceptance kernel [try_accepts] would run for this automaton —
    for Eval.explain and the CLI. *)
 let kernel_name (a : Fsa.t) =
-  if not (enabled ()) then "naive search"
-  else
-    let rt = index a in
-    if not (indexable rt) then "naive search"
-    else if rt.oneway && Optimize.enabled () then "one-way frontier"
-    else "two-way packed"
+  let rt = index a in
+  if not (indexable rt) then "naive search"
+  else if rt.oneway then "one-way frontier"
+  else "two-way packed"

@@ -14,19 +14,11 @@
       [states·Π(nᵢ+2)] fits in an OCaml int, giving an allocation-free
       search with a flat bitmap (small key spaces) or a monomorphic
       open-addressing int set (large ones) as the visited set;
-    - a {b global toggle} consulted by [Run], [Generate] and
-      [Compile]: with the runtime disabled they fall back to the naive
-      reference implementations, which is how the benches measure
-      before/after and how the qcheck suite cross-checks semantics. *)
+    - {b shape dispatch} between a one-way frontier kernel and the
+      general two-way search.
 
-val enabled : unit -> bool
-(** Is the fast runtime switched on (default: yes)?  The flag is an
-    [Atomic.t]: reading it from pool workers is safe. *)
-
-val set_enabled : bool -> unit
-(** Toggle the fast paths ([Run.accepts], [Generate.accepted], the
-    [Compile.compile] memo cache).  The naive implementations are always
-    reachable directly regardless of the toggle. *)
+    The naive reference implementations ([Run.accepts_naive],
+    [Generate.accepted_naive]) stay callable directly, as test oracles. *)
 
 (** {1 Transition dispatch} *)
 
@@ -50,10 +42,9 @@ val clear_cache : unit -> unit
 (** Drop all cached indices (benchmark hygiene). *)
 
 val set_cache_limit : int -> unit
-(** Bound on cached indices (clamped to ≥ 1).  The initial value is
-    [STRDB_INDEX_CACHE] from the environment when it parses as a
-    positive int, else 256 — sized so a query suite's compiled working
-    set fits without evictions. *)
+(** Bound on cached indices (clamped to ≥ 1; default 256, sized so a
+    query suite's compiled working set fits without evictions).  Test
+    hook. *)
 
 val get_cache_limit : unit -> int
 
@@ -121,13 +112,12 @@ val try_accepts : Fsa.t -> string list -> bool option
     by levels of equal head-position sum that needs no visited set and
     is linear in total input length for a fixed FSA; everything else
     runs the general two-way search (Theorem 3.3) with a bitmap or
-    int-set visited set.  [None] when the runtime is disabled, the FSA
-    is not indexable, or the input is not packable; the caller then uses
-    the naive search.  Assumes the input was validated ([Run.accepts]
+    int-set visited set.  [None] when the FSA is not indexable or the
+    input is not packable; the caller then uses the naive search.  Assumes the input was validated ([Run.accepts]
     does this). *)
 
 val kernel_name : Fsa.t -> string
 (** Which acceptance kernel {!try_accepts} would run for this automaton
     ("one-way frontier", "two-way packed", or "naive search" when the
-    runtime is disabled or the FSA is not indexable) — for
+    FSA is not indexable) — for
     [Eval.explain] and the CLI. *)

@@ -18,14 +18,23 @@ let starts_with prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 let request t line =
-  match
-    output_string t.oc line;
-    output_char t.oc '\n';
-    flush t.oc;
-    input_line t.ic
-  with
-  | exception End_of_file -> Error "connection closed"
-  | exception Sys_error m -> Error m
+  (* A server that rejects a connection writes BUSY and closes it, so the
+     write can fail with a broken pipe while that reply is still waiting
+     to be read: read it anyway, and report the write error only when no
+     reply comes. *)
+  let sent =
+    match
+      output_string t.oc line;
+      output_char t.oc '\n';
+      flush t.oc
+    with
+    | () -> Ok ()
+    | exception Sys_error m -> Error m
+  in
+  let closed m = match sent with Error w -> Error w | Ok () -> Error m in
+  match input_line t.ic with
+  | exception End_of_file -> closed "connection closed"
+  | exception Sys_error m -> closed m
   | "BUSY" -> Error "server busy"
   | resp when starts_with "ERR " resp ->
       Error (String.sub resp 4 (String.length resp - 4))

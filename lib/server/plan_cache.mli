@@ -12,7 +12,9 @@
     survivor tuples, so two stores — even built from equal databases —
     must never share a cache line.  Keys are otherwise structural, so
     two textually different requests parsing to the same formula share
-    a plan. *)
+    a plan.  The key is complete: [Eval.prepare] reads no global
+    setting, so a plan is a function of exactly these components (and
+    the database, which {!prepare} checks). *)
 
 type t
 

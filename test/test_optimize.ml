@@ -45,27 +45,10 @@ let shape_tests =
         check_int "rr" 1 (Optimize.shape_rank Optimize.Right_restricted);
         check_int "gen" 2 (Optimize.shape_rank Optimize.General));
     tc "kernel dispatch follows the shape" (fun () ->
-        let was = Optimize.enabled () in
-        Optimize.set_enabled true;
-        Fun.protect
-          ~finally:(fun () -> Optimize.set_enabled was)
-          (fun () ->
-            let eq = Optimize.run (compile2 (Combinators.equal_s "x" "y")) in
-            check_string "one-way kernel" "one-way frontier"
-              (Runtime.kernel_name eq);
-            let mf = Optimize.run (compile2 (Combinators.manifold "x" "y")) in
-            check_string "two-way kernel" "two-way packed"
-              (Runtime.kernel_name mf);
-            Optimize.set_enabled false;
-            check_string "opt disabled reverts to two-way" "two-way packed"
-              (Runtime.kernel_name eq);
-            Optimize.set_enabled true;
-            Runtime.set_enabled false;
-            Fun.protect
-              ~finally:(fun () -> Runtime.set_enabled true)
-              (fun () ->
-                check_string "disabled runtime" "naive search"
-                  (Runtime.kernel_name eq))));
+        let eq = Optimize.run (compile2 (Combinators.equal_s "x" "y")) in
+        check_string "one-way kernel" "one-way frontier" (Runtime.kernel_name eq);
+        let mf = Optimize.run (compile2 (Combinators.manifold "x" "y")) in
+        check_string "two-way kernel" "two-way packed" (Runtime.kernel_name mf));
   ]
 
 (* ----------------------------------------------------------- rewrites *)
@@ -137,13 +120,6 @@ let rewrite_tests =
         (* an already-optimal automaton must come back physically intact *)
         let o3 = Optimize.optimized o1 in
         check_bool "fixpoint keeps identity" true (o3 == o1));
-    tc "disabled pass is the identity" (fun () ->
-        Optimize.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Optimize.set_enabled true)
-          (fun () ->
-            let a = compile2 (Combinators.manifold "x" "y") in
-            check_bool "identity" true (Optimize.optimized a == a)));
   ]
 
 (* ------------------------------------------------------------- qcheck *)
@@ -151,7 +127,7 @@ let rewrite_tests =
 (* The headline equivalence property, random compiled string formulae:
    [Optimize.run] preserves acceptance through both the naive reference
    and the shape-dispatched runtime kernels, with and without Lemma 3.1
-   specialisation, under both STRDB_OPT settings. *)
+   specialisation. *)
 let qcheck_tests =
   let prop = Test_qcheck.prop in
   let arb_sformula = Test_qcheck.arb_sformula in
@@ -171,17 +147,6 @@ let qcheck_tests =
         let o = Optimize.run spec in
         let want = Run.accepts_naive spec [ v ] in
         Run.accepts_naive o [ v ] = want && Run.accepts o [ v ] = want);
-    prop ~count:80 "acceptance agrees under both STRDB_OPT settings"
-      (QCheck.pair (arb_sformula [ "x"; "y" ]) arb_string_pair)
-      (fun (phi, (u, v)) ->
-        let a = compile2 phi in
-        Optimize.set_enabled false;
-        let off =
-          Fun.protect
-            ~finally:(fun () -> Optimize.set_enabled true)
-            (fun () -> Run.accepts a [ u; v ])
-        in
-        Run.accepts a [ u; v ] = off);
     prop ~count:60 "enumerator agrees through the optimize pass"
       (arb_sformula [ "x"; "y" ])
       (fun phi ->

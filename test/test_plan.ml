@@ -148,35 +148,26 @@ let limitation_memo_tests =
         let clone = clone_fsa fsa in
         check_bool "clone is structurally equal" true (clone = fsa);
         check_bool "clone is physically distinct" false (clone == fsa);
-        if Optimize.enabled () then begin
-          Limitation.clear_cache ();
-          let v1 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
-          let s1 = Limitation.cache_stats () in
-          check_int "first analysis misses" 1 s1.Limitation.misses;
-          check_int "first analysis cannot hit" 0 s1.Limitation.hits;
-          let v2 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
-          let s2 = Limitation.cache_stats () in
-          check_int "same automaton hits" 1 s2.Limitation.hits;
-          check_int "same automaton adds no miss" 1 s2.Limitation.misses;
-          let v3 = Limitation.analyze clone ~inputs:[ 0 ] ~outputs:[ 1 ] in
-          let s3 = Limitation.cache_stats () in
-          check_int "structural clone is a fresh miss" 2 s3.Limitation.misses;
-          check_int "structural clone does not hit" 1 s3.Limitation.hits;
-          check_int "two entries live" 2 s3.Limitation.entries;
-          check_bool "verdicts agree across the memo" true
-            (v1 = v2 && (match (v1, v3) with
-                        | Ok (Limitation.Limited _), Ok (Limitation.Limited _)
-                        | Ok (Limitation.Unlimited _), Ok (Limitation.Unlimited _)
-                        | Error _, Error _ -> true
-                        | _ -> false))
-        end
-        else
-          (* STRDB_OPT=0 battery: the memo is bypassed entirely; the
-             physical-identity claim is vacuous but analysis must still
-             agree between original and clone. *)
-          check_bool "clone analysis agrees" true
-            (Limitation.limits fsa ~inputs:[ 0 ] ~outputs:[ 1 ]
-            = Limitation.limits clone ~inputs:[ 0 ] ~outputs:[ 1 ]));
+        Limitation.clear_cache ();
+        let v1 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
+        let s1 = Limitation.cache_stats () in
+        check_int "first analysis misses" 1 s1.Limitation.misses;
+        check_int "first analysis cannot hit" 0 s1.Limitation.hits;
+        let v2 = Limitation.analyze fsa ~inputs:[ 0 ] ~outputs:[ 1 ] in
+        let s2 = Limitation.cache_stats () in
+        check_int "same automaton hits" 1 s2.Limitation.hits;
+        check_int "same automaton adds no miss" 1 s2.Limitation.misses;
+        let v3 = Limitation.analyze clone ~inputs:[ 0 ] ~outputs:[ 1 ] in
+        let s3 = Limitation.cache_stats () in
+        check_int "structural clone is a fresh miss" 2 s3.Limitation.misses;
+        check_int "structural clone does not hit" 1 s3.Limitation.hits;
+        check_int "two entries live" 2 s3.Limitation.entries;
+        check_bool "verdicts agree across the memo" true
+          (v1 = v2 && (match (v1, v3) with
+                      | Ok (Limitation.Limited _), Ok (Limitation.Limited _)
+                      | Ok (Limitation.Unlimited _), Ok (Limitation.Unlimited _)
+                      | Error _, Error _ -> true
+                      | _ -> false)));
   ]
 
 (* Satellite regression: [dedup_rows] on wide rows whose first columns
@@ -208,55 +199,57 @@ let dedup_tests =
             dt);
   ]
 
-(* prepare ∘ execute ≡ run over random string conjuncts, under every
-   combination of the fusion and index toggles.  Single bound variable:
-   the conjunct runs as a σ_A filter (generator-path randomness is
-   deliberately avoided — see test_qcheck.ml on certified bounds). *)
+(* prepare ∘ execute ≡ run, with and without a store.  The filter
+   property uses one bound variable, so the conjunct runs as a σ_A
+   filter; the pushdown property generates x from prefix(x, y) and pushes
+   a random regular selection on x into it.  Its regexes are small, so a
+   finite one certified as a generator of its own stays cheap (see
+   test_qcheck.ml on certified bounds). *)
 let qcheck_props =
   let g = Prng.create 1729 in
   let rdb =
     Database.of_list [ ("r", List.init 24 (fun _ -> [ Prng.string_upto g b 6 ])) ]
   in
   let st = Store.create b rdb in
-  let combos = [ (true, true); (true, false); (false, true); (false, false) ] in
+  let agree ~free phi =
+    List.for_all
+      (fun store ->
+        Eval.run ?store b rdb ~free phi = split_run ?store b rdb ~free phi)
+      [ None; Some st ]
+  in
+  let arb_regex =
+    let open QCheck.Gen in
+    let atom = oneofl [ Regex.Chr 'a'; Regex.Chr 'b'; Regex.Eps ] in
+    QCheck.make ~print:Regex.to_string
+      (sized_size (int_bound 4)
+      @@ fix (fun self n ->
+             if n = 0 then atom
+             else
+               frequency
+                 [
+                   (1, atom);
+                   (2, map2 (fun r r' -> Regex.Seq (r, r'))
+                      (self (n / 2)) (self (n / 2)));
+                   (1, map2 (fun r r' -> Regex.Alt (r, r'))
+                      (self (n / 2)) (self (n / 2)));
+                   (2, map (fun r -> Regex.Star r) (self (n - 1)));
+                 ]))
+  in
   [
-    Test_qcheck.prop ~count:30 "prepare∘execute ≡ run under fuse/index toggles"
+    Test_qcheck.prop ~count:30 "prepare∘execute ≡ run under both store settings"
       (Test_qcheck.arb_sformula ~allow_right:false [ "x" ])
-      (fun s ->
-        let phi = F.And (F.Rel ("r", [ "x" ]), F.Str s) in
-        let free = [ "x" ] in
-        let fuse0 = Product.enabled () and idx0 = Store.enabled () in
-        Fun.protect
-          ~finally:(fun () ->
-            Product.set_enabled fuse0;
-            Store.set_enabled idx0)
-          (fun () ->
-            List.for_all
-              (fun (fu, ix) ->
-                Product.set_enabled fu;
-                Store.set_enabled ix;
-                Eval.run ~store:st b rdb ~free phi
-                = split_run ~store:st b rdb ~free phi)
-              combos));
-    Test_qcheck.prop ~count:20 "fused two-conjunct plans ≡ run, fuse on/off"
-      (QCheck.pair
-         (Test_qcheck.arb_sformula [ "u"; "v" ])
-         (Test_qcheck.arb_sformula [ "u"; "v" ]))
-      (fun (s1, s2) ->
-        let phi =
-          F.And
-            (F.Rel ("pair", [ "u"; "v" ]), F.And (F.Str s1, F.Str s2))
-        in
-        let free = F.free_vars phi in
-        let fuse0 = Product.enabled () in
-        Fun.protect
-          ~finally:(fun () -> Product.set_enabled fuse0)
-          (fun () ->
-            List.for_all
-              (fun fu ->
-                Product.set_enabled fu;
-                Eval.run b pair_db ~free phi = split_run b pair_db ~free phi)
-              [ true; false ]));
+      (fun s -> agree ~free:[ "x" ] (F.And (F.Rel ("r", [ "x" ]), F.Str s)));
+    Test_qcheck.prop ~count:30
+      "fused two-conjunct plans ≡ run: a selection pushed into a generator"
+      arb_regex
+      (fun re ->
+        agree ~free:[ "x"; "y" ]
+          (F.and_list
+             [
+               F.Rel ("r", [ "y" ]);
+               F.Str (Combinators.prefix "x" "y");
+               F.Str (Combinators.regex_match "x" re);
+             ]));
   ]
 
 let suites =

@@ -1,25 +1,14 @@
-(* Conjunct fusion: the merged-frame product constructions (sync window
-   product + sequential composition), their acceptance law
+(* Merged-frame products: the synchronized window product, its
+   acceptance law
      accepts (a × b) t  ⇔  accepts a t|_A ∧ accepts b t|_B,
-   the STRDB_FUSE / STRDB_PRODUCT_STATES toggles, and the fused
-   evaluator paths (σ-fusion of filters, selection pushdown into
-   certified generators). *)
+   its budget, and the evaluator's use of it (selection pushdown into
+   certified generators; filters stay separate passes). *)
 open Strdb
 open Helpers
 
 let b = Alphabet.binary
 
 let compile vars phi = Compile.compile b ~vars phi
-
-let with_fuse on f =
-  let was = Product.enabled () in
-  Product.set_enabled on;
-  Fun.protect ~finally:(fun () -> Product.set_enabled was) f
-
-let with_budget n f =
-  let was = Product.state_budget () in
-  Product.set_state_budget n;
-  Fun.protect ~finally:(fun () -> Product.set_state_budget was) f
 
 (* Project a merged-frame tuple onto a factor frame. *)
 let project merged frame tup =
@@ -88,51 +77,23 @@ let core_tests =
         | Some (prod, merged) ->
             check_law "literal x literal" (a, [ "x" ]) (c, [ "y" ])
               (prod, merged) ~max_len:2);
-    tc "seq composition handles two-way factors (exhaustive <= 2)"
-      (fun () ->
-        let m = compile [ "x"; "y" ] (Combinators.manifold "x" "y") in
-        let e = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
-        check_bool "sync refuses a two-way factor" true
-          (Product.product_sync (m, [ "x"; "y" ]) (e, [ "x"; "y" ]) = None);
-        match Product.product_seq (m, [ "x"; "y" ]) (e, [ "x"; "y" ]) with
-        | None -> Alcotest.fail "seq composition refused normal-form factors"
-        | Some (prod, merged) ->
-            check_law "manifold x equal_s" (m, [ "x"; "y" ]) (e, [ "x"; "y" ])
-              (prod, merged) ~max_len:2);
-    tc "seq composition: overlapping frames, two-way factor (exhaustive <= 2)"
-      (fun () ->
-        let m = compile [ "y"; "z" ] (Combinators.reverse_of "y" "z") in
-        let e = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
-        match Product.product_seq (e, [ "x"; "y" ]) (m, [ "y"; "z" ]) with
-        | None -> Alcotest.fail "seq composition refused"
-        | Some (prod, merged) ->
-            check_string_list "frame" [ "x"; "y"; "z" ] merged;
-            check_law "prefix x reverse_of" (e, [ "x"; "y" ]) (m, [ "y"; "z" ])
-              (prod, merged) ~max_len:2);
     tc "budget blowout falls back to the unfused plan" (fun () ->
-        with_fuse true @@ fun () ->
-        let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
-        let p = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
-        with_budget 1 (fun () ->
-            Product.clear_cache ();
-            Product.reset_stats ();
-            check_bool "sync overflows" true
-              (Product.product_sync (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) = None);
-            check_bool "fuse declines on blowout" true
-              (Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) = None);
-            let s = Product.stats () in
-            check_bool "budget fallback counted" true
-              (s.Product.budget_fallbacks >= 1);
-            (* The sequential composition stays available (and exact) for
-               callers who want it despite the blowout. *)
-            match Product.product_seq (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) with
-            | None -> Alcotest.fail "seq composition refused"
-            | Some (prod, merged) ->
-                check_law "seq law" (a, [ "x"; "y" ]) (p, [ "x"; "y" ])
-                  (prod, merged) ~max_len:2);
+        (* equal_s scans both tapes in lockstep while subsequence lets y
+           run ahead of x without bound: their synchronized space is
+           infinite, so every finite budget overflows. *)
+        let e = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
+        let s = compile [ "x"; "y" ] (Combinators.subsequence "x" "y") in
+        Product.clear_cache ();
+        Product.reset_stats ();
+        check_bool "sync overflows" true
+          (Product.product_sync (e, [ "x"; "y" ]) (s, [ "x"; "y" ]) = None);
+        check_bool "fuse declines on blowout" true
+          (Product.fuse (e, [ "x"; "y" ]) (s, [ "x"; "y" ]) = None);
+        let st = Product.stats () in
+        check_bool "budget fallback counted" true
+          (st.Product.budget_fallbacks >= 1);
         Product.clear_cache ());
     tc "fuse is memoized on factor identity" (fun () ->
-        with_fuse true @@ fun () ->
         Product.clear_cache ();
         let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
         let p = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
@@ -142,11 +103,14 @@ let core_tests =
         | Some (p1, _), Some (p2, _) ->
             check_bool "same automaton" true (p1 == p2)
         | _ -> Alcotest.fail "fuse refused a fusable pair");
-    tc "fuse refuses with fusion disabled and non-normal finals" (fun () ->
-        let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
-        with_fuse false (fun () ->
-            check_bool "disabled" true
-              (Product.fuse (a, [ "x"; "y" ]) (a, [ "x"; "y" ]) = None));
+    tc "fuse refuses with fusion-ineligible factors: two-way, non-normal finals"
+      (fun () ->
+        let m = compile [ "x"; "y" ] (Combinators.manifold "x" "y") in
+        let e = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
+        check_bool "sync refuses a two-way factor" true
+          (Product.product_sync (m, [ "x"; "y" ]) (e, [ "x"; "y" ]) = None);
+        check_bool "fuse refuses a two-way factor" true
+          (Product.fuse (m, [ "x"; "y" ]) (e, [ "x"; "y" ]) = None);
         (* a final state with an outgoing transition breaks the
            reach-final = accept equivalence both constructions rely on *)
         let bad =
@@ -159,35 +123,33 @@ let core_tests =
         check_bool "normal_finals detects it" false (Product.normal_finals bad);
         check_bool "sync refuses" true
           (Product.product_sync (bad, [ "x" ]) (bad, [ "x" ]) = None);
-        check_bool "seq refuses" true
-          (Product.product_seq (bad, [ "x" ]) (bad, [ "x" ]) = None));
+        check_bool "fuse refuses" true
+          (Product.fuse (bad, [ "x" ]) (bad, [ "x" ]) = None));
     tc "products keep the normal-finals property (n-ary folding)" (fun () ->
-        with_fuse true @@ fun () ->
         let a = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
         let p = compile [ "x"; "y" ] (Combinators.prefix "x" "y") in
-        let s = compile [ "x"; "y" ] (Combinators.subsequence "x" "y") in
+        let c = compile [ "y"; "z" ] (Combinators.equal_s "y" "z") in
         match Product.fuse (a, [ "x"; "y" ]) (p, [ "x"; "y" ]) with
         | None -> Alcotest.fail "first fuse refused"
         | Some (ap, f) -> (
             check_bool "normal finals" true (Product.normal_finals ap);
-            (* The second factor pair diverges in phase, so the sync
-               construction blows the budget; the sequential composition
-               folds regardless because products keep normal finals. *)
-            match Product.product_seq (ap, f) (s, [ "x"; "y" ]) with
-            | None -> Alcotest.fail "second composition refused"
-            | Some (aps, merged) ->
+            match Product.fuse (ap, f) (c, [ "y"; "z" ]) with
+            | None -> Alcotest.fail "second fuse refused"
+            | Some (apc, merged) ->
+                check_string_list "frame" [ "x"; "y"; "z" ] merged;
                 List.iter
                   (fun tup ->
+                    let xy = [ List.nth tup 0; List.nth tup 1 ]
+                    and yz = [ List.nth tup 1; List.nth tup 2 ] in
                     let want =
-                      Run.accepts_naive a tup && Run.accepts_naive p tup
-                      && Run.accepts_naive s tup
+                      Run.accepts_naive a xy && Run.accepts_naive p xy
+                      && Run.accepts_naive c yz
                     in
-                    check_bool "ternary law" want (Run.accepts aps tup))
-                  (all_tuples b ~arity:2 ~max_len:2);
-                ignore merged));
+                    check_bool "ternary law" want (Run.accepts apc tup))
+                  (all_tuples b ~arity:3 ~max_len:2)));
   ]
 
-(* ------------------------------------------------------- fused planner *)
+(* ------------------------------------------------------------- planner *)
 
 let db =
   Database.of_list
@@ -196,12 +158,14 @@ let db =
       ("r", [ [ "abab" ]; [ "bb" ]; [ "aab" ] ]);
     ]
 
-let two_filter_query =
-  Formula.And
-    ( Formula.Rel ("p", [ "u"; "v" ]),
-      Formula.And
-        ( Formula.Str (Combinators.prefix "u" "v"),
-          Formula.Str (Combinators.equal_s "u" "v") ) )
+let three_filter_query =
+  Formula.and_list
+    [
+      Formula.Rel ("p", [ "u"; "v" ]);
+      Formula.Str (Combinators.prefix "u" "v");
+      Formula.Str (Combinators.equal_s "u" "v");
+      Formula.Str (Combinators.occurs_in "u" "v");
+    ]
 
 let pushdown_query =
   (* prefix(x,y) is the only certifiable generator (the regex filter on
@@ -228,71 +192,51 @@ let contains ~needle hay =
 
 let planner_tests =
   [
-    tc "explain shows a fused filter step with provenance and kernel"
+    tc "explain reproduces the unfused plan: one σ filter step per conjunct"
       (fun () ->
-        with_fuse true (fun () ->
-            match Eval.explain b db two_filter_query with
-            | Error e -> Alcotest.fail e
-            | Ok steps -> (
-                match filters_of steps with
-                | [ (d, a) ] ->
-                    check_bool "provenance" true (contains ~needle:"σ-fusion" d);
-                    check_bool "factors listed" true (contains ~needle:"×" d);
-                    check_bool "shape shown" true
-                      (contains ~needle:"unidirectional" a);
-                    check_bool "kernel shown" true
-                      (contains ~needle:"one-way frontier" a)
-                | fs ->
-                    Alcotest.failf "expected one fused filter step, got %d"
-                      (List.length fs))));
-    tc "explain reproduces the unfused plan with STRDB_FUSE=0" (fun () ->
-        with_fuse false (fun () ->
-            match Eval.explain b db two_filter_query with
-            | Error e -> Alcotest.fail e
-            | Ok steps ->
-                check_int "two separate filters" 2
-                  (List.length (filters_of steps));
-                List.iter
-                  (fun (d, _) ->
-                    check_bool "no fusion marker" false
-                      (contains ~needle:"σ-fusion" d))
-                  (filters_of steps)));
+        match Eval.explain b db three_filter_query with
+        | Error e -> Alcotest.fail e
+        | Ok steps ->
+            let fs = filters_of steps in
+            check_int "three separate filters" 3 (List.length fs);
+            List.iter
+              (fun (d, a) ->
+                check_bool "no fusion marker" false
+                  (contains ~needle:"σ-fusion" d);
+                check_bool "no product marker" false (contains ~needle:"×" d);
+                check_bool "kernel shown" true
+                  (contains ~needle:"one-way frontier" a))
+              fs);
     tc "explain shows selection pushdown on a certified generator" (fun () ->
-        with_fuse true (fun () ->
-            match Eval.explain b db pushdown_query with
-            | Error e -> Alcotest.fail e
-            | Ok steps -> (
-                match generators_of steps with
-                | [ (d, _, a) ] ->
-                    check_bool "pushdown marker" true (contains ~needle:"⋉" d);
-                    check_bool "annotated" true (contains ~needle:"states" a)
-                | gs ->
-                    Alcotest.failf "expected one generator step, got %d"
-                      (List.length gs));
-                check_int "pushed filter leaves the plan" 0
-                  (List.length (filters_of steps))));
-    tc "fused and unfused runs agree (filters)" (fun () ->
-        let fused =
-          with_fuse true (fun () -> Eval.run b db ~free:[ "u"; "v" ] two_filter_query)
-        in
-        let plain =
-          with_fuse false (fun () ->
-              Eval.run b db ~free:[ "u"; "v" ] two_filter_query)
-        in
-        match (fused, plain) with
-        | Ok a, Ok b_ -> check_tuples "rows" b_ a
-        | _ -> Alcotest.fail "evaluation failed");
+        match Eval.explain b db pushdown_query with
+        | Error e -> Alcotest.fail e
+        | Ok steps ->
+            (match generators_of steps with
+            | [ (d, _, a) ] ->
+                check_bool "pushdown marker" true (contains ~needle:"⋉ σ[" d);
+                check_bool "annotated" true (contains ~needle:"states" a)
+            | gs ->
+                Alcotest.failf "expected one generator step, got %d"
+                  (List.length gs));
+            check_int "pushed filter leaves the plan" 0
+              (List.length (filters_of steps)));
     tc "fused and unfused runs agree (generator pushdown)" (fun () ->
-        let fused =
-          with_fuse true (fun () -> Eval.run b db ~free:[ "x"; "y" ] pushdown_query)
+        (* The unfused answer, by hand: generate with prefix alone, then
+           apply the pushed regex as a separate filter. *)
+        let regex =
+          compile [ "x" ] (Combinators.regex_match "x" (Regex.parse "(ab)*"))
         in
-        let plain =
-          with_fuse false (fun () ->
-              Eval.run b db ~free:[ "x"; "y" ] pushdown_query)
+        let unpushed =
+          Eval.run b db ~free:[ "x"; "y" ]
+            (Formula.And
+               ( Formula.Rel ("r", [ "y" ]),
+                 Formula.Str (Combinators.prefix "x" "y") ))
         in
-        match (fused, plain) with
-        | Ok a, Ok b_ ->
-            check_tuples "rows" b_ a;
+        match (Eval.run b db ~free:[ "x"; "y" ] pushdown_query, unpushed) with
+        | Ok a, Ok all ->
+            check_tuples "rows"
+              (List.filter (fun t -> Run.accepts_naive regex [ List.hd t ]) all)
+              a;
             check_tuples "expected answers"
               [
                 [ ""; "aab" ];
@@ -326,17 +270,6 @@ let qcheck_tests =
         | Some (p, _) ->
             Run.accepts p [ u; v; w ]
             = (Run.accepts_naive a [ u; v ] && Run.accepts_naive b_ [ v; w ]));
-    prop ~count:60 "seq composition law on arbitrary factors (shared frame)"
-      (QCheck.pair
-         (QCheck.pair (arb_sformula [ "x"; "y" ]) (arb_sformula [ "x"; "y" ]))
-         Test_qcheck.arb_string_pair)
-      (fun ((pa, pb), (u, v)) ->
-        let a = compile [ "x"; "y" ] pa and b_ = compile [ "x"; "y" ] pb in
-        match Product.product_seq (a, [ "x"; "y" ]) (b_, [ "x"; "y" ]) with
-        | None -> false (* normal-form factors must compose *)
-        | Some (p, _) ->
-            Run.accepts p [ u; v ]
-            = (Run.accepts_naive a [ u; v ] && Run.accepts_naive b_ [ u; v ]));
     prop ~count:40 "fuse law on disjoint frames"
       (QCheck.pair
          (QCheck.pair
@@ -346,34 +279,12 @@ let qcheck_tests =
       (fun ((pa, pb), (u, v)) ->
         let a = compile [ "x" ] pa and b_ = compile [ "y" ] pb in
         Product.clear_cache ();
-        match
-          with_fuse true (fun () -> Product.fuse (a, [ "x" ]) (b_, [ "y" ]))
-        with
+        match Product.fuse (a, [ "x" ]) (b_, [ "y" ]) with
         | None -> true
         | Some (p, merged) ->
             merged = [ "x"; "y" ]
             && Run.accepts p [ u; v ]
                = (Run.accepts_naive a [ u ] && Run.accepts_naive b_ [ v ]));
-    prop ~count:30 "pipeline: STRDB_FUSE=1 ≡ STRDB_FUSE=0 on random conjuncts"
-      (QCheck.pair
-         (QCheck.pair (arb_sformula [ "x"; "y" ]) (arb_sformula [ "x"; "y" ]))
-         (QCheck.small_list Test_qcheck.arb_string_pair))
-      (fun ((p1, p2), tuples) ->
-        let db =
-          Database.of_list [ ("r", List.map (fun (u, v) -> [ u; v ]) tuples) ]
-        in
-        let phi =
-          Formula.And
-            ( Formula.Rel ("r", [ "x"; "y" ]),
-              Formula.And (Formula.Str p1, Formula.Str p2) )
-        in
-        let fused =
-          with_fuse true (fun () -> Eval.run b db ~free:[ "x"; "y" ] phi)
-        in
-        let plain =
-          with_fuse false (fun () -> Eval.run b db ~free:[ "x"; "y" ] phi)
-        in
-        fused = plain);
   ]
 
 let suites =

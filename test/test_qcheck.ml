@@ -154,20 +154,72 @@ let runtime_props =
       (fun phi ->
         let fsa = Compile.compile b ~vars:[ "x"; "y" ] phi in
         Generate.accepted_fast fsa ~max_len:2 = Generate.accepted_naive fsa ~max_len:2);
-    prop ~count:25 "Query pipeline agrees with the runtime disabled"
-      (arb_sformula [ "u"; "x" ])
-      (fun s ->
-        let db = Workload.pair_db b ~seed:7 ~name:"pair" ~n:3 ~len:2 in
-        let phi = Formula.And (Formula.Rel ("pair", [ "u"; "v" ]), Formula.Str s) in
-        let free = Formula.free_vars phi in
-        Fun.protect
-          ~finally:(fun () -> Runtime.set_enabled true)
-          (fun () ->
-            Runtime.set_enabled false;
-            let slow = Eval.run b db ~free phi in
-            Runtime.set_enabled true;
-            let fast = Eval.run b db ~free phi in
-            slow = fast));
+  ]
+
+(* The engine-free differential property: the query pipeline against the
+   paper's semantics.  A random conjunctive query — 1 to 3 string
+   conjuncts and an optional negated one over pair(u,v) or r(x),
+   optionally projecting v away — must give one answer without a store,
+   with a store and on two domains, and that answer must be the
+   relation's tuples filtered by Naive.holds, projected and sorted. *)
+let differential_db =
+  let g = Prng.create 4242 in
+  let s () = Prng.string_upto g b 5 in
+  Database.of_list
+    [
+      ("pair", List.init 10 (fun _ -> [ s (); s () ]));
+      ("r", List.init 16 (fun _ -> [ s () ]));
+    ]
+
+let differential_store = Store.create b differential_db
+
+let arb_query =
+  let open QCheck.Gen in
+  let gen =
+    bool >>= fun on_pair ->
+    let vars = if on_pair then [ "u"; "v" ] else [ "x" ] in
+    int_range 1 3 >>= fun n ->
+    list_repeat n (gen_sformula vars) >>= fun strs ->
+    opt (gen_sformula vars) >>= fun neg ->
+    map (fun project -> (on_pair, strs, neg, on_pair && project)) bool
+  in
+  QCheck.make
+    ~print:(fun (on_pair, strs, neg, project) ->
+      Printf.sprintf "%s%s ∧ %s%s"
+        (if project then "∃v. " else "")
+        (if on_pair then "pair(u,v)" else "r(x)")
+        (String.concat " ∧ " (List.map Sformula.to_string strs))
+        (match neg with None -> "" | Some s -> " ∧ ¬" ^ Sformula.to_string s))
+    gen
+
+let differential_props =
+  [
+    prop ~count:60 "Query pipeline agrees with Naive: no store ≡ store ≡ 2 domains"
+      arb_query
+      (fun (on_pair, strs, neg, project) ->
+        let rel, vars = if on_pair then ("pair", [ "u"; "v" ]) else ("r", [ "x" ]) in
+        let body =
+          Formula.and_list
+            ((Formula.Rel (rel, vars) :: List.map (fun s -> Formula.Str s) strs)
+            @ Option.to_list (Option.map (fun s -> Formula.Not (Formula.Str s)) neg))
+        in
+        let phi, free =
+          if project then (Formula.Exists ("v", body), [ "u" ]) else (body, vars)
+        in
+        let holds s tup = Naive.holds s (List.combine vars tup) in
+        let oracle =
+          Database.find differential_db rel
+          |> List.filter (fun tup ->
+                 List.for_all (fun s -> holds s tup) strs
+                 && not (Option.fold ~none:false ~some:(fun s -> holds s tup) neg))
+          |> List.map (fun tup -> if project then [ List.hd tup ] else tup)
+          |> List.sort_uniq compare
+        in
+        let db = differential_db in
+        let plain = Eval.run ~domains:1 b db ~free phi in
+        plain = Ok oracle
+        && Eval.run ~domains:1 ~store:differential_store b db ~free phi = plain
+        && Eval.run ~domains:2 b db ~free phi = plain);
   ]
 
 let parallel_props =
@@ -265,7 +317,7 @@ let store_props =
   (* One fixed binary-alphabet relation (lengths 0–6, so some rows have
      q-grams and some don't) probed by random unidirectional one-variable
      patterns: the σ-index pruned pipeline must agree with the plain
-     scan pipeline whichever way the STRDB_INDEX toggle points. *)
+     scan pipeline. *)
   let db =
     let g = Prng.create 1729 in
     Database.of_list
@@ -278,16 +330,7 @@ let store_props =
       (fun s ->
         let phi = Formula.And (Formula.Rel ("r", [ "x" ]), Formula.Str s) in
         let free = [ "x" ] in
-        let saved = Store.enabled () in
-        Fun.protect
-          ~finally:(fun () -> Store.set_enabled saved)
-          (fun () ->
-            let plain = Eval.run b db ~free phi in
-            Store.set_enabled true;
-            let indexed = Eval.run ~store:st b db ~free phi in
-            Store.set_enabled false;
-            let toggled = Eval.run ~store:st b db ~free phi in
-            indexed = plain && toggled = plain));
+        Eval.run ~store:st b db ~free phi = Eval.run b db ~free phi);
   ]
 
 let parser_props =
@@ -304,7 +347,7 @@ let suites =
   [
     ("qcheck.compile", compile_props);
     ("qcheck.run", run_props);
-    ("qcheck.runtime", runtime_props);
+    ("qcheck.runtime", runtime_props @ differential_props);
     ("qcheck.parallel", parallel_props);
     ("qcheck.baselines", baseline_props);
     ("qcheck.alignment", alignment_props);

@@ -223,87 +223,64 @@ let workload_tests =
 
 (* The planner path: same answers, different plan. *)
 let eval_tests =
-  let with_index f =
-    let saved = Store.enabled () in
-    Fun.protect ~finally:(fun () -> Store.set_enabled saved) f
-  in
   let q7 =
     Formula.And
       (Formula.Rel ("seq", [ "x" ]), Formula.Str (contains_motif "acgta"))
   in
   [
     tc "index-pruned evaluation ≡ scan evaluation" (fun () ->
-        with_index (fun () ->
-            let db =
-              Workload.planted_motif_db ~seed:7 ~n:120 ~len:16 ~motif:"acgta"
-                ~hit_rate:0.1
-            in
-            let st = Store.create dna db in
-            let phi = q7 in
-            Store.set_enabled true;
-            let indexed = Eval.run ~store:st dna db ~free:[ "x" ] phi in
-            Store.set_enabled false;
-            let toggled = Eval.run ~store:st dna db ~free:[ "x" ] phi in
-            let plain = Eval.run dna db ~free:[ "x" ] phi in
-            check_bool "plain ok" true (Result.is_ok plain);
-            check_bool "indexed = plain" true (indexed = plain);
-            check_bool "toggled = plain" true (toggled = plain);
-            (match plain with
-            | Ok rows -> check_int "hits" 12 (List.length rows)
-            | Error e -> Alcotest.fail e)));
-    tc "explain shows the probe and the toggle hides it" (fun () ->
-        with_index (fun () ->
-            let db =
-              Workload.planted_motif_db ~seed:9 ~n:50 ~len:16 ~motif:"acgta"
-                ~hit_rate:0.1
-            in
-            let st = Store.create dna db in
-            let phi = q7 in
-            let probes steps =
-              List.filter (function Eval.IndexProbe _ -> true | _ -> false) steps
-            in
-            Store.set_enabled true;
-            (match Eval.explain ~store:st dna db phi with
-            | Ok steps -> (
-                match probes steps with
-                | [ Eval.IndexProbe (d, v) ] ->
-                    check_bool "describes factors" true
-                      (Strutil.is_substring "σ-index" d);
-                    check_bool "verify ratio" true
-                      (Strutil.is_substring "verify(" v)
-                | _ -> Alcotest.fail "expected exactly one probe step")
-            | Error e -> Alcotest.fail e);
-            Store.set_enabled false;
-            (match Eval.explain ~store:st dna db phi with
-            | Ok steps -> check_int "no probe when disabled" 0
-                (List.length (probes steps))
-            | Error e -> Alcotest.fail e);
-            (* no store, no probe *)
-            match Eval.explain dna db phi with
-            | Ok steps -> check_int "no probe without store" 0
-                (List.length (probes steps))
-            | Error e -> Alcotest.fail e));
+        let db =
+          Workload.planted_motif_db ~seed:7 ~n:120 ~len:16 ~motif:"acgta"
+            ~hit_rate:0.1
+        in
+        let st = Store.create dna db in
+        let indexed = Eval.run ~store:st dna db ~free:[ "x" ] q7 in
+        let plain = Eval.run dna db ~free:[ "x" ] q7 in
+        check_bool "plain ok" true (Result.is_ok plain);
+        check_bool "indexed = plain" true (indexed = plain);
+        match plain with
+        | Ok rows -> check_int "hits" 12 (List.length rows)
+        | Error e -> Alcotest.fail e);
+    tc "explain shows the probe and omits it without a store" (fun () ->
+        let db =
+          Workload.planted_motif_db ~seed:9 ~n:50 ~len:16 ~motif:"acgta"
+            ~hit_rate:0.1
+        in
+        let st = Store.create dna db in
+        let probes steps =
+          List.filter (function Eval.IndexProbe _ -> true | _ -> false) steps
+        in
+        (match Eval.explain ~store:st dna db q7 with
+        | Ok steps -> (
+            match probes steps with
+            | [ Eval.IndexProbe (d, v) ] ->
+                check_bool "describes factors" true
+                  (Strutil.is_substring "σ-index" d);
+                check_bool "verify ratio" true (Strutil.is_substring "verify(" v)
+            | _ -> Alcotest.fail "expected exactly one probe step")
+        | Error e -> Alcotest.fail e);
+        match Eval.explain dna db q7 with
+        | Ok steps ->
+            check_int "no probe without store" 0 (List.length (probes steps))
+        | Error e -> Alcotest.fail e);
     tc "a store for a different database is ignored" (fun () ->
-        with_index (fun () ->
-            Store.set_enabled true;
-            let db =
-              Workload.planted_motif_db ~seed:11 ~n:30 ~len:12 ~motif:"acgta"
-                ~hit_rate:0.2
-            in
-            let other =
-              Workload.planted_motif_db ~seed:12 ~n:30 ~len:12 ~motif:"acgta"
-                ~hit_rate:0.2
-            in
-            let st = Store.create dna other in
-            let phi = q7 in
-            match Eval.explain ~store:st dna db phi with
-            | Ok steps ->
-                check_int "no probe" 0
-                  (List.length
-                     (List.filter
-                        (function Eval.IndexProbe _ -> true | _ -> false)
-                        steps))
-            | Error e -> Alcotest.fail e));
+        let db =
+          Workload.planted_motif_db ~seed:11 ~n:30 ~len:12 ~motif:"acgta"
+            ~hit_rate:0.2
+        in
+        let other =
+          Workload.planted_motif_db ~seed:12 ~n:30 ~len:12 ~motif:"acgta"
+            ~hit_rate:0.2
+        in
+        let st = Store.create dna other in
+        match Eval.explain ~store:st dna db q7 with
+        | Ok steps ->
+            check_int "no probe" 0
+              (List.length
+                 (List.filter
+                    (function Eval.IndexProbe _ -> true | _ -> false)
+                    steps))
+        | Error e -> Alcotest.fail e);
     tc "empty relations short-circuit the filter" (fun () ->
         let db = Database.of_list [ ("seq", []) ] in
         let phi = q7 in
@@ -311,30 +288,28 @@ let eval_tests =
         | Ok rows -> check_tuples "empty" [] rows
         | Error e -> Alcotest.fail e);
     tc "⊤-factor selections scan as before" (fun () ->
-        with_index (fun () ->
-            Store.set_enabled true;
-            let db =
-              Workload.planted_motif_db ~seed:13 ~n:40 ~len:12 ~motif:"gca"
-                ~hit_rate:0.5
-            in
-            let st = Store.create dna db in
-            (* (gc+a)* has no necessary 3-gram: must fall back to a scan *)
-            let phi =
-              Formula.And
-                ( Formula.Rel ("seq", [ "x" ]),
-                  Formula.Str (Regex_embed.matches "x" (Regex.parse "(gc+a)*")) )
-            in
-            let with_st = Eval.run ~store:st dna db ~free:[ "x" ] phi in
-            let without = Eval.run dna db ~free:[ "x" ] phi in
-            check_bool "equal" true (with_st = without);
-            match Eval.explain ~store:st dna db phi with
-            | Ok steps ->
-                check_int "no probe" 0
-                  (List.length
-                     (List.filter
-                        (function Eval.IndexProbe _ -> true | _ -> false)
-                        steps))
-            | Error e -> Alcotest.fail e));
+        let db =
+          Workload.planted_motif_db ~seed:13 ~n:40 ~len:12 ~motif:"gca"
+            ~hit_rate:0.5
+        in
+        let st = Store.create dna db in
+        (* (gc+a)* has no necessary 3-gram: must fall back to a scan *)
+        let phi =
+          Formula.And
+            ( Formula.Rel ("seq", [ "x" ]),
+              Formula.Str (Regex_embed.matches "x" (Regex.parse "(gc+a)*")) )
+        in
+        let with_st = Eval.run ~store:st dna db ~free:[ "x" ] phi in
+        let without = Eval.run dna db ~free:[ "x" ] phi in
+        check_bool "equal" true (with_st = without);
+        match Eval.explain ~store:st dna db phi with
+        | Ok steps ->
+            check_int "no probe" 0
+              (List.length
+                 (List.filter
+                    (function Eval.IndexProbe _ -> true | _ -> false)
+                    steps))
+        | Error e -> Alcotest.fail e);
   ]
 
 let suites =
