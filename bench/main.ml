@@ -528,8 +528,6 @@ let parallel_bench () =
   (* Each domain count, with cache counters over the sweep. *)
   Runtime.clear_cache ();
   Compile.clear_cache ();
-  Runtime.reset_stats ();
-  Compile.reset_stats ();
   let series =
     List.map
       (fun d ->
@@ -900,265 +898,9 @@ let index_bench () =
   close_out oc;
   Printf.printf "  wrote BENCH_index.json\n%!"
 
-(* V1 — the query server: cold planning vs cached-plan execution on an
-   E1/Q7-style mix, then a load generator driving concurrent client
-   connections through the wire protocol.  In-process by default; set
-   STRDB_SERVE_SOCKET to point the load phase at an externally booted
-   [strdb serve] (CI's smoke does) — answers are then not cross-checked,
-   only counted. *)
-let serve_bench () =
-  B.section "V1 — strdb serve: plan cache and concurrent-connection load";
-  let motif = "acgtgacgta" in
-  let n = if quick then 2_000 else 50_000 in
-  let len = 20 in
-  (* Selective Q7 side: a server's repeated queries are worth caching
-     when planning (compile, certification, pushdown products, index
-     probes) is a real fraction of the request, i.e. when the probes
-     leave few survivor rows to execute over.  The 10-char motif makes
-     every factor probe nearly exact, so cached execution touches only
-     the planted rows. *)
-  let hit_rate = if quick then 0.01 else 0.001 in
-  let min_time = if quick then 0.05 else 0.3 in
-  let planted = Workload.planted_motif_db ~seed:101 ~n ~len ~motif ~hit_rate in
-  (* The paper's E1 pair relation rides along so the mix exercises both
-     regimes: plan-dominated example queries over 16 pairs next to
-     probe-dominated motif scans over [n] sequences. *)
-  let genomic = Workload.genomic_db ~seed:11 ~n:16 ~len:6 in
-  let db =
-    Database.of_list
-      [
-        ("seq", Database.find planted "seq");
-        ("pair", Database.find genomic "pair");
-      ]
-  in
-  let st = Store.create dna db in
-  let any = "(a+c+g+t)*" in
-  let s_of re = Sformula.to_string (Regex_embed.matches "x" (Regex.parse re)) in
-  (* One wire line per query; the local reference parses the same line,
-     so both sides of every comparison evaluate the same formula. *)
-  let e1_mix =
-    [
-      ( "E1-equal",
-        "pair(u,v) & S{" ^ Sformula.to_string (Combinators.equal_s "u" "v") ^ "}" );
-      ( "E1-concat",
-        "pair(u,v) & S{"
-        ^ Sformula.to_string (Combinators.concat3 "x" "u" "v")
-        ^ "}" );
-      ( "E1-occurs",
-        "pair(u,v) & S{" ^ Sformula.to_string (Combinators.occurs_in "u" "v") ^ "}" );
-      ( "E1-edit2",
-        "pair(u,v) & S{"
-        ^ Sformula.to_string (Combinators.edit_distance_le "u" "v" 2)
-        ^ "}" );
-    ]
-  in
-  let q7_mix =
-    [
-      ("Q7-motif", Printf.sprintf "seq(x) & S{%s}" (s_of (any ^ motif ^ any)));
-      ("Q7-anchored", Printf.sprintf "seq(x) & S{%s}" (s_of (motif ^ any)));
-      ( "fused-triple",
-        Printf.sprintf "seq(x) & S{%s} & S{%s} & S{%s}"
-          (s_of (any ^ "acgtga" ^ any))
-          (s_of (any ^ "gtgacg" ^ any))
-          (s_of (any ^ "gacgta" ^ any)) );
-      ( "negated-guard",
-        Printf.sprintf "seq(x) & S{%s} & ~S{%s}"
-          (s_of (any ^ motif ^ any))
-          (s_of (any ^ "ggggg" ^ any)) );
-    ]
-  in
-  let mix = e1_mix @ q7_mix in
-  let clear_engine_caches () =
-    Compile.clear_cache ();
-    Runtime.clear_cache ();
-    Optimize.clear_cache ();
-    Product.clear_cache ();
-    Limitation.clear_cache ()
-  in
-  (* --- cold prepare+execute vs cached-plan execution --------------- *)
-  let cold_rows =
-    List.map
-      (fun (name, wire) ->
-        let phi = Sparser.formula wire in
-        let free = Formula.free_vars phi in
-        let run_split () =
-          clear_engine_caches ();
-          match Eval.prepare ~store:st dna db ~free phi with
-          | Error e -> failwith ("serve bench: " ^ name ^ ": " ^ e)
-          | Ok plan -> (plan, Eval.execute plan)
-        in
-        let plan, first = run_split () in
-        let answers =
-          match first with
-          | Ok rows -> List.length rows
-          | Error e -> failwith ("serve bench: " ^ name ^ ": " ^ e)
-        in
-        let cold =
-          B.time_per_run ~min_time (fun () -> ignore (run_split ()))
-        in
-        let plan_t =
-          B.time_per_run ~min_time (fun () ->
-              clear_engine_caches ();
-              ignore (Eval.prepare ~store:st dna db ~free phi))
-        in
-        let cached =
-          B.time_per_run ~min_time (fun () -> ignore (Eval.execute plan))
-        in
-        if Eval.execute plan <> first then
-          failwith ("serve bench: " ^ name ^ ": cached plan answers drifted");
-        Printf.printf
-          "  %-10s cold %9.2f ms  (plan %9.2f ms)  cached exec %9.2f ms  \
-           %6.1fx  answers %d\n%!"
-          name (cold *. 1e3) (plan_t *. 1e3) (cached *. 1e3) (cold /. cached)
-          answers;
-        (name, cold, plan_t, cached, answers))
-      mix
-  in
-  let mix_cold = List.fold_left (fun a (_, c, _, _, _) -> a +. c) 0.0 cold_rows
-  and mix_cached =
-    List.fold_left (fun a (_, _, _, c, _) -> a +. c) 0.0 cold_rows
-  in
-  Printf.printf "  %-10s cold %9.2f ms                      cached exec %9.2f \
-                 ms  %6.1fx\n%!"
-    "mix" (mix_cold *. 1e3) (mix_cached *. 1e3) (mix_cold /. mix_cached);
-  (* --- load generator over the wire -------------------------------- *)
-  let external_socket = Sys.getenv_opt "STRDB_SERVE_SOCKET" in
-  let srv, socket =
-    match external_socket with
-    | Some path -> (None, path)
-    | None ->
-        let path = Filename.temp_file "strdb_bench" ".sock" in
-        let cfg =
-          Server.config ~workers:8 ~backlog:64 ~store:st ~socket:path dna db
-        in
-        (Some (Server.start cfg), path)
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Server.stop srv) @@ fun () ->
-  (* An external server (CI's smoke) hosts only the planted relation, so
-     the pair-based E1 queries stay local-only. *)
-  let load_mix =
-    match external_socket with Some _ -> q7_mix | None -> mix
-  in
-  let wires = Array.of_list (List.map snd load_mix) in
-  let expected =
-    (* Only checkable against the in-process server: an external one
-       serves its own database. *)
-    match srv with
-    | None -> None
-    | Some _ ->
-        Some
-          (Array.map
-             (fun wire ->
-               let phi = Sparser.formula wire in
-               match Eval.run ~store:st dna db ~free:(Formula.free_vars phi) phi with
-               | Ok rows -> rows
-               | Error e -> failwith ("serve bench: " ^ e))
-             wires)
-  in
-  let requests_per_client = if quick then 40 else 200 in
-  let client_counts = if quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let drive i =
-    let c = Client.connect socket in
-    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let lat = Array.make requests_per_client 0.0 in
-    let errors = ref 0 in
-    for j = 0 to requests_per_client - 1 do
-      let q = (i + j) mod Array.length wires in
-      let t0 = Unix.gettimeofday () in
-      (match (Client.query c wires.(q), expected) with
-      | Ok rows, Some want -> if rows <> want.(q) then incr errors
-      | Ok _, None -> ()
-      | Error _, _ -> incr errors);
-      lat.(j) <- Unix.gettimeofday () -. t0
-    done;
-    (lat, !errors)
-  in
-  let percentile sorted p =
-    let m = Array.length sorted in
-    if m = 0 then nan
-    else sorted.(min (m - 1) (int_of_float (p *. float_of_int (m - 1) +. 0.5)))
-  in
-  let load_rows =
-    List.map
-      (fun clients ->
-        let t0 = Unix.gettimeofday () in
-        let domains =
-          List.init clients (fun i -> Domain.spawn (fun () -> drive i))
-        in
-        let results = List.map Domain.join domains in
-        let wall = Unix.gettimeofday () -. t0 in
-        let lats =
-          Array.concat (List.map (fun (lat, _) -> lat) results)
-        in
-        Array.sort compare lats;
-        let errors = List.fold_left (fun a (_, e) -> a + e) 0 results in
-        let total = clients * requests_per_client in
-        let rps = float_of_int total /. wall in
-        let p50 = percentile lats 0.5 *. 1e3 in
-        let p99 = percentile lats 0.99 *. 1e3 in
-        Printf.printf
-          "  load C=%d  %5d req  %8.0f req/s  p50 %7.3f ms  p99 %7.3f ms  \
-           errors %d\n%!"
-          clients total rps p50 p99 errors;
-        if errors > 0 then
-          failwith "serve bench: load phase saw errors or divergent answers";
-        (clients, total, rps, p50, p99, errors))
-      client_counts
-  in
-  let cache_stats =
-    Option.map (fun s -> Plan_cache.stats (Server.cache s)) srv
-  in
-  (* --- JSON -------------------------------------------------------- *)
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"serve\",\n";
-  Printf.fprintf oc "  \"mode\": %S,\n" (if quick then "quick" else "full");
-  Printf.fprintf oc "  \"n\": %d,\n" n;
-  Printf.fprintf oc "  \"len\": %d,\n" len;
-  Printf.fprintf oc "  \"motif\": %S,\n" motif;
-  Printf.fprintf oc "  \"external_server\": %b,\n"
-    (Option.is_some external_socket);
-  Printf.fprintf oc "  \"cold_vs_cached\": [\n";
-  List.iteri
-    (fun i (name, cold, plan_t, cached, answers) ->
-      Printf.fprintf oc
-        "    {\"query\": %S, \"cold_ms\": %.3f, \"plan_ms\": %.3f, \
-         \"cached_exec_ms\": %.3f, \"speedup\": %.2f, \"answers\": %d}%s\n"
-        name (cold *. 1e3) (plan_t *. 1e3) (cached *. 1e3) (cold /. cached)
-        answers
-        (if i = List.length cold_rows - 1 then "" else ","))
-    cold_rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"mix\": {\"cold_ms\": %.3f, \"cached_exec_ms\": %.3f, \"speedup\": \
-     %.2f},\n"
-    (mix_cold *. 1e3) (mix_cached *. 1e3) (mix_cold /. mix_cached);
-  Printf.fprintf oc "  \"load\": [\n";
-  List.iteri
-    (fun i (clients, total, rps, p50, p99, errors) ->
-      Printf.fprintf oc
-        "    {\"clients\": %d, \"requests\": %d, \"throughput_rps\": %.1f, \
-         \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"errors\": %d}%s\n"
-        clients total rps p50 p99 errors
-        (if i = List.length load_rows - 1 then "" else ","))
-    load_rows;
-  (match cache_stats with
-  | None -> Printf.fprintf oc "  ]\n"
-  | Some s ->
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc
-        "  \"plan_cache\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-         \"entries\": %d, \"bound\": %d}\n"
-        s.Plan_cache.hits s.Plan_cache.misses s.Plan_cache.evictions
-        s.Plan_cache.entries s.Plan_cache.bound);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "  wrote BENCH_serve.json\n%!"
-
 let only_runtime = Array.exists (fun a -> a = "runtime") Sys.argv
 let only_parallel = Array.exists (fun a -> a = "parallel") Sys.argv
 let only_index = Array.exists (fun a -> a = "index") Sys.argv
-let only_serve = Array.exists (fun a -> a = "serve") Sys.argv
 
 let () =
   if only_runtime then begin
@@ -1177,12 +919,6 @@ let () =
     Printf.printf "strdb benchmark harness — index section only (%s mode)\n"
       (if quick then "quick" else "full");
     index_bench ();
-    exit 0
-  end;
-  if only_serve then begin
-    Printf.printf "strdb benchmark harness — serve section only (%s mode)\n"
-      (if quick then "quick" else "full");
-    serve_bench ();
     exit 0
   end;
   Printf.printf "strdb benchmark harness — %s mode\n"
@@ -1205,5 +941,4 @@ let () =
   runtime_bench ();
   parallel_bench ();
   index_bench ();
-  serve_bench ();
   Printf.printf "\nall experiment sections completed.\n"

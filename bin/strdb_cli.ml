@@ -335,8 +335,7 @@ let serve_cmd =
       & opt (some int) None
       & info [ "plan-cache" ] ~docv:"N"
           ~doc:
-            "Prepared-plan cache bound (0 disables).  Defaults to \
-             \\$STRDB_PLAN_CACHE, else 128.")
+            "Prepared-plan cache bound (0 disables).  Defaults to 128.")
   in
   let run sigma jobs rels planted index workers backlog cache_bound socket =
     guard (fun () ->

@@ -560,7 +560,7 @@ let prepare ?store sigma db ~free phi =
    is all local (the working table), so one plan may execute on many
    domains at once — the automata, certificates and pruned tuple lists
    it closes over are immutable, and the shared caches underneath
-   (compile memo, runtime indexes, checker memo) are domain-safe. *)
+   (compile memo, runtime indexes) are domain-safe. *)
 let execute_unsafe pool (p : Plan.t) =
   let t = ref (mk_table [] [ [||] ]) in
   List.iter

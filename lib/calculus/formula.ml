@@ -48,34 +48,20 @@ type checker = Sformula.t -> (var * string) list -> bool
 
 let naive_checker = Naive.holds
 
-(* The closure's memo is shared by every row of a filter step, and the
-   parallel evaluator runs those rows on pool domains — hence the mutex.
-   Only the table lookup is under the lock; the acceptance run is not. *)
-let compiled_checker sigma =
-  let cache : (Sformula.t, Window.var list * Strdb_fsa.Fsa.t) Hashtbl.t =
-    Hashtbl.create 16
+(* The Compile memo makes repeated atoms compile once; it and the
+   runtime caches under [Run.accepts] are domain-safe, so the checker is
+   safe on the parallel evaluator's pool domains. *)
+let compiled_checker sigma phi bindings =
+  let vars = Sformula.vars phi in
+  let tuple =
+    List.map
+      (fun v ->
+        match List.assoc_opt v bindings with
+        | Some w -> w
+        | None -> invalid_arg ("Formula: unbound string-formula variable " ^ v))
+      vars
   in
-  let mu = Mutex.create () in
-  fun phi bindings ->
-    let vars, fsa =
-      Mutex.protect mu (fun () ->
-          match Hashtbl.find_opt cache phi with
-          | Some entry -> entry
-          | None ->
-              let vars = Sformula.vars phi in
-              let fsa = Compile.compile sigma ~vars phi in
-              Hashtbl.replace cache phi (vars, fsa);
-              (vars, fsa))
-    in
-    let tuple =
-      List.map
-        (fun v ->
-          match List.assoc_opt v bindings with
-          | Some w -> w
-          | None -> invalid_arg ("Formula: unbound string-formula variable " ^ v))
-        vars
-    in
-    Strdb_fsa.Run.accepts fsa tuple
+  Strdb_fsa.Run.accepts (Compile.compile sigma ~vars phi) tuple
 
 let eval ?(checker = naive_checker) sigma db ~max_len env phi =
   let domain = Strdb_util.Strutil.all_strings_upto sigma max_len in

@@ -54,9 +54,9 @@ val naive_checker : checker
 (** {!Naive.holds}: the reference decision procedure. *)
 
 val compiled_checker : Strdb_util.Alphabet.t -> checker
-(** Compile each distinct string formula once (Theorem 3.1) and decide by
-    FSA acceptance (Theorem 3.3); memoised, so repeated atoms across a
-    query evaluation are compiled once. *)
+(** Compile each string formula (Theorem 3.1) and decide by FSA
+    acceptance (Theorem 3.3); through the {!Compile.compile} memo, so
+    repeated atoms across a query evaluation are compiled once. *)
 
 val eval :
   ?checker:checker ->

@@ -69,6 +69,16 @@ let transition ~src ~read ~dst ~moves =
   { src; read = Array.of_list read; dst; moves = Array.of_list moves }
 
 let size t = Array.length t.transitions
+
+module Physical = struct
+  type nonrec t = t
+
+  let equal = ( == )
+
+  (* Fields fixed at construction; the GC moves addresses, so physical
+     identity can be compared but not hashed. *)
+  let hash a = Hashtbl.hash (a.arity, a.num_states, a.start, size a)
+end
 let is_final t q = t.finals.(q)
 
 let finals_list t =

@@ -49,6 +49,13 @@ val transition :
 val size : t -> int
 (** |A|: the number of transitions (the size measure of Section 3). *)
 
+module Physical : Hashtbl.HashedType with type t = t
+(** Automata as keys by physical identity ([==]): an automaton is
+    immutable, so tables of values derived from it (the
+    {!Strdb_util.Memo} caches of Optimize, Runtime, Limitation, Product
+    and Generate) key on the automaton itself, and a structurally equal
+    clone is a different key. *)
+
 val is_final : t -> int -> bool
 (** Is the state final? *)
 

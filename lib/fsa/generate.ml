@@ -349,44 +349,23 @@ let accepted a ~max_len = accepted_fast (Optimize.optimized a) ~max_len
    often binds the same tuple repeatedly within one), so the Lemma 3.1
    product — and the optimize pass that trims it, usually to almost
    nothing — is paid once per (automaton, inputs) instead of once per
-   row visit.  Same lock-free bounded-list pattern as the other
-   caches. *)
-let spec_cache : ((Fsa.t * string list) * Fsa.t) list Atomic.t =
-  Atomic.make []
+   row visit. *)
+module Memo = Strdb_util.Memo.Make (struct
+  type t = Fsa.t * string list
 
-let spec_cache_limit = 512
+  let equal (a, ins) (a', ins') = a == a' && ins = ins'
+  let hash (a, ins) = Hashtbl.hash (Fsa.Physical.hash a, ins)
+end)
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let clear_spec_cache () = Atomic.set spec_cache []
-
-let rec spec_insert key v =
-  let cur = Atomic.get spec_cache in
-  match List.find_opt (fun ((f, ins), _) -> f == fst key && ins = snd key) cur with
-  | Some (_, v') -> v'
-  | None ->
-      if
-        Atomic.compare_and_set spec_cache cur
-          (take spec_cache_limit ((key, v) :: cur))
-      then v
-      else spec_insert key v
+let spec_cache : Fsa.t Memo.t = Memo.create 512
 
 let specialize_optimized a inputs =
-  match
-    List.find_opt
-      (fun ((f, ins), _) -> f == a && ins = inputs)
-      (Atomic.get spec_cache)
-  with
-  | Some (_, spec) -> spec
-  | None ->
+  Memo.find_or_add spec_cache (a, inputs) (fun () ->
       (* Uncached [Optimize.run] on the fresh product: the identity-keyed
          [Optimize.optimized] memo would never hit — but the pass itself
          pays off (Specialize never trims backward-unreachable states,
          and Lemma 3.1 leaves stationary chains to eliminate). *)
-      spec_insert (a, inputs) (Optimize.run (Specialize.specialize a inputs))
+      Optimize.run (Specialize.specialize a inputs))
 
 let outputs a ~inputs ~max_len =
   accepted_fast ~local_index:true (specialize_optimized a inputs) ~max_len

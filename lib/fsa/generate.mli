@@ -38,12 +38,10 @@ val outputs : Fsa.t -> inputs:string list -> max_len:int -> string list list
     tapes, each bounded by [max_len]; sorted.
 
     The specialized product is run through [Optimize.run] (trimming usually collapses it drastically) and the
-    result is memoized on [(a, inputs)] — bounded and domain-safe — so
+    result is memoized on [(a, inputs)] — a {!Strdb_util.Memo} of 512
+    entries keyed on [a]'s physical identity — so
     repeated expansions of the same bound row amortize the Lemma 3.1
     construction. *)
-
-val clear_spec_cache : unit -> unit
-(** Drop memoized optimized specializations (benchmark hygiene). *)
 
 val is_empty_upto : Fsa.t -> max_len:int -> bool
 (** No accepted tuple with all components of length at most [max_len].

@@ -329,8 +329,12 @@ let returning_loop (tw : Crossing.two_way) ~max_window =
   done;
   !found
 
-let analyze_raw ~max_crossing_states ~max_window (a : Fsa.t) ~inputs ~outputs
-    =
+(* Budgets of the right-restricted case: crossing-sequence states, and
+   the width of the returning-loop search. *)
+let max_crossing_states = 50000
+let max_window = 12
+
+let analyze_raw (a : Fsa.t) ~inputs ~outputs =
   match check_partition a ~inputs ~outputs with
   | Error _ as e -> e
   | Ok () -> (
@@ -462,64 +466,30 @@ let analyze_raw ~max_crossing_states ~max_window (a : Fsa.t) ~inputs ~outputs
    same compile-memoized automaton on every run.  Verdicts are immutable
    (the [eval] closure captures only the automaton's sizes), so caching
    is purely a time win. *)
-let cache :
-    ((Fsa.t * int * int * int list * int list) * (verdict, string) result)
-    list
-    Atomic.t =
-  Atomic.make []
+module Memo = Strdb_util.Memo.Make (struct
+  type t = Fsa.t * int list * int list
 
-let cache_limit = 128
+  let equal (f, ins, outs) (f', ins', outs') =
+    f == f' && ins = ins' && outs = outs'
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+  let hash (f, ins, outs) = Hashtbl.hash (Fsa.Physical.hash f, ins, outs)
+end)
 
-(* Hit/miss telemetry, so the physical-identity keying is observable: a
-   re-analysis of the very same compile-memoized automaton must count a
-   hit, a structurally-equal clone must count a miss (it is a different
-   automaton as far as [==] is concerned, and deep-comparing whole
-   automata against up to [cache_limit] entries per probe is the
-   pathology the keying avoids). *)
-type cache_stats = { hits : int; misses : int; entries : int }
+let cache : (verdict, string) result Memo.t = Memo.create 128
 
-let cache_hits = Atomic.make 0
-let cache_misses = Atomic.make 0
+type cache_stats = Strdb_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+}
 
-let cache_stats () =
-  {
-    hits = Atomic.get cache_hits;
-    misses = Atomic.get cache_misses;
-    entries = List.length (Atomic.get cache);
-  }
+let cache_stats () = Memo.stats cache
+let clear_cache () = Memo.clear cache
 
-let clear_cache () =
-  Atomic.set cache [];
-  Atomic.set cache_hits 0;
-  Atomic.set cache_misses 0
-
-let key_eq (f, mcs, mw, ins, outs) (f', mcs', mw', ins', outs') =
-  f == f' && mcs = mcs' && mw = mw' && ins = ins' && outs = outs'
-
-let rec insert key v =
-  let cur = Atomic.get cache in
-  match List.find_opt (fun (k, _) -> key_eq k key) cur with
-  | Some (_, v') -> v'
-  | None ->
-      if Atomic.compare_and_set cache cur (take cache_limit ((key, v) :: cur))
-      then v
-      else insert key v
-
-let analyze ?(max_crossing_states = 50000) ?(max_window = 12) (a : Fsa.t)
-    ~inputs ~outputs =
-  let key = (a, max_crossing_states, max_window, inputs, outputs) in
-  match List.find_opt (fun (k, _) -> key_eq k key) (Atomic.get cache) with
-  | Some (_, v) ->
-      Atomic.incr cache_hits;
-      v
-  | None ->
-      Atomic.incr cache_misses;
-      insert key (analyze_raw ~max_crossing_states ~max_window a ~inputs ~outputs)
+let analyze (a : Fsa.t) ~inputs ~outputs =
+  Memo.find_or_add cache (a, inputs, outputs) (fun () ->
+      analyze_raw a ~inputs ~outputs)
 
 let limits a ~inputs ~outputs =
   match analyze a ~inputs ~outputs with Ok (Limited _) -> true | _ -> false

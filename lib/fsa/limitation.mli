@@ -26,7 +26,7 @@
       endmarkers, and a cheap zero-net-displacement prefilter skips
       impossible anchors.  The window bound follows the paper's
       [|v| ≤ 2·|arcs(A″)|] argument but is capped for practicality
-      ([max_window], default 12, plus a node budget); this case is
+      (a window of 12 symbols, plus a node budget); this case is
       therefore complete only up to those bounds.
 
     The analysis presupposes the compiled normal form of Theorem 3.1
@@ -52,34 +52,33 @@ val normal_form_errors : Fsa.t -> string list
     empty). *)
 
 val analyze :
-  ?max_crossing_states:int ->
-  ?max_window:int ->
-  Fsa.t ->
-  inputs:int list ->
-  outputs:int list ->
-  (verdict, string) result
+  Fsa.t -> inputs:int list -> outputs:int list -> (verdict, string) result
 (** [analyze a ~inputs ~outputs] decides whether [inputs ⤳ outputs] in [a].
     [inputs] and [outputs] must partition the tapes.  Returns [Error] when
     the FSA is not right-restricted (the problem is then undecidable —
     Theorem 5.1), is not in compiled normal form, or the crossing
-    construction exceeds [max_crossing_states].
+    construction exceeds its budget of 50000 states.
 
-    Verdicts are memoized on the FSA's physical identity and the analysis
-    parameters (bounded, domain-safe) — the crossing-sequence
-    construction dominates repeated query planning otherwise. *)
+    Verdicts are memoized on the FSA's physical identity and the tape
+    partition — the crossing-sequence construction dominates repeated
+    query planning otherwise. *)
 
 val clear_cache : unit -> unit
 (** Drop memoized verdicts and reset the counters (benchmark hygiene). *)
 
-type cache_stats = { hits : int; misses : int; entries : int }
+type cache_stats = Strdb_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+}
 
 val cache_stats : unit -> cache_stats
-(** Verdict-memo telemetry.  The memo keys on the automaton's
-    {e physical} identity ([==], like [Optimize.cache]): analyzing the
-    same compile-memoized automaton twice is one miss then one hit,
-    while a structurally-equal clone is a fresh miss — deep-comparing
-    whole automata against every entry per probe is exactly what the
-    keying avoids. *)
+(** Verdict-memo telemetry.  The memo (a {!Strdb_util.Memo} of 128
+    entries) keys on the automaton's {e physical} identity
+    ({!Fsa.Physical}): analyzing the same compile-memoized automaton
+    twice is one miss then one hit, while a structurally-equal clone is
+    a fresh miss. *)
 
 val limits : Fsa.t -> inputs:int list -> outputs:int list -> bool
 (** [limits a ~inputs ~outputs] is [true] exactly when {!analyze} returns

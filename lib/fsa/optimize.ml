@@ -226,35 +226,19 @@ let run (a : Fsa.t) =
   if cost a2 <= cost a0 then a2 else a0
 
 (* ------------------------------------------------------------------ *)
-(* Cache, keyed on physical identity like the Runtime index cache (the
+(* Memo, keyed on physical identity like the Runtime index cache (the
    Compile memo returns shared automata, so repeated queries optimize
    once).  When the pass wins nothing, [optimized] returns the input
    itself, keeping the FSA's identity — and with it any Runtime index
    already built for it. *)
 
-let cache : (Fsa.t * Fsa.t) list Atomic.t = Atomic.make []
-let cache_limit = 256
+module Memo = Strdb_util.Memo.Make (Fsa.Physical)
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec insert a b =
-  let cur = Atomic.get cache in
-  match List.find_opt (fun (f, _) -> f == a) cur with
-  | Some (_, b') -> b'
-  | None ->
-      if Atomic.compare_and_set cache cur (take cache_limit ((a, b) :: cur))
-      then b
-      else insert a b
+let cache : Fsa.t Memo.t = Memo.create 256
 
 let optimized (a : Fsa.t) =
-  match List.find_opt (fun (f, _) -> f == a) (Atomic.get cache) with
-  | Some (_, b) -> b
-  | None ->
+  Memo.find_or_add cache a (fun () ->
       let b = run a in
-      let b = if cost b < cost a then b else a in
-      insert a b
+      if cost b < cost a then b else a)
 
-let clear_cache () = Atomic.set cache []
+let clear_cache () = Memo.clear cache

@@ -59,8 +59,8 @@ val optimized : Fsa.t -> Fsa.t
 (** [run], cached on the FSA's physical identity (compile-memoized
     automata optimize once per process).  When the pass wins nothing it
     returns [a] itself, so downstream identity-keyed caches (the Runtime
-    index) are unaffected.
-    Domain-safe: lock-free immutable list behind an [Atomic.t]. *)
+    index) are unaffected.  Domain-safe: a {!Strdb_util.Memo} of 256
+    entries. *)
 
 val clear_cache : unit -> unit
 (** Drop the memo (benchmark hygiene). *)

@@ -23,31 +23,13 @@ let state_budget = 4096
 (* Counters, read by the benchmark traces. *)
 
 type stats = {
-  attempts : int;
   sync_built : int;
   budget_fallbacks : int;
-  ineligible : int;
-  cache_hits : int;
+  memo : Strdb_util.Memo.stats;
 }
 
-let c_attempts = Atomic.make 0
 let c_sync = Atomic.make 0
 let c_budget = Atomic.make 0
-let c_inel = Atomic.make 0
-let c_hits = Atomic.make 0
-
-let stats () =
-  {
-    attempts = Atomic.get c_attempts;
-    sync_built = Atomic.get c_sync;
-    budget_fallbacks = Atomic.get c_budget;
-    ineligible = Atomic.get c_inel;
-    cache_hits = Atomic.get c_hits;
-  }
-
-let reset_stats () =
-  List.iter (fun c -> Atomic.set c 0)
-    [ c_attempts; c_sync; c_budget; c_inel; c_hits ]
 
 (* ------------------------------------------------------------------ *)
 (* Frames. *)
@@ -382,66 +364,47 @@ let product_sync fa fb =
    every run reuses one product — and with it the Optimize and Runtime
    caches keyed on the product's identity. *)
 
-type key = Fsa.t * frame * Fsa.t * frame
+module Memo = Strdb_util.Memo.Make (struct
+  type t = Fsa.t * frame * Fsa.t * frame
 
-let cache : (key * (Fsa.t * frame) option) list Atomic.t = Atomic.make []
-let cache_limit = 128
+  let equal (a, fa, b, fb) (a', fa', b', fb') =
+    a == a' && b == b' && fa = fa' && fb = fb'
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+  let hash (a, fa, b, fb) =
+    Hashtbl.hash (Fsa.Physical.hash a, fa, Fsa.Physical.hash b, fb)
+end)
 
-let rec insert key r =
-  let cur = Atomic.get cache in
-  match
-    List.find_opt
-      (fun ((a', fa', b', fb'), _) ->
-        let a, fa, b, fb = key in
-        a' == a && b' == b && fa' = fa && fb' = fb)
-      cur
-  with
-  | Some (_, r') -> r'
-  | None ->
-      if Atomic.compare_and_set cache cur (take cache_limit ((key, r) :: cur))
-      then r
-      else insert key r
+let cache : (Fsa.t * frame) option Memo.t = Memo.create 128
 
-let clear_cache () = Atomic.set cache []
+let stats () =
+  {
+    sync_built = Atomic.get c_sync;
+    budget_fallbacks = Atomic.get c_budget;
+    memo = Memo.stats cache;
+  }
+
+let clear_cache () =
+  Memo.clear cache;
+  Atomic.set c_sync 0;
+  Atomic.set c_budget 0
 
 let fuse ((a, fa) as left) ((b, fb) as right) =
-  match
-    List.find_opt
-      (fun ((a', fa', b', fb'), _) -> a' == a && b' == b && fa' = fa && fb' = fb)
-      (Atomic.get cache)
-  with
-  | Some (_, r) ->
-      Atomic.incr c_hits;
-      r
-  | None ->
-      let r =
-        if not (compatible left right) then begin
-          Atomic.incr c_inel;
-          None
-        end
-        else begin
-          Atomic.incr c_attempts;
-          (* Optimized factors give smaller products; the passes preserve
-             the normal-finals property. *)
-          match
-            product_sync_impl (Optimize.optimized a, fa) (Optimize.optimized b, fb)
-          with
-          | Built (p, f) ->
-              Atomic.incr c_sync;
-              Some (Optimize.optimized p, f)
-          | Overflow ->
-              (* Phase-divergent factors: keep the conjuncts unfused. *)
-              Atomic.incr c_budget;
-              None
-          | Ineligible ->
-              (* A two-way factor: the conjuncts stay separate passes. *)
-              Atomic.incr c_inel;
-              None
-        end
-      in
-      insert (a, fa, b, fb) r
+  Memo.find_or_add cache (a, fa, b, fb) (fun () ->
+      if not (compatible left right) then None
+      else begin
+        (* Optimized factors give smaller products; the passes preserve
+           the normal-finals property. *)
+        match
+          product_sync_impl (Optimize.optimized a, fa) (Optimize.optimized b, fb)
+        with
+        | Built (p, f) ->
+            Atomic.incr c_sync;
+            Some (Optimize.optimized p, f)
+        | Overflow ->
+            (* Phase-divergent factors: keep the conjuncts unfused. *)
+            Atomic.incr c_budget;
+            None
+        | Ineligible ->
+            (* A two-way factor: the conjuncts stay separate passes. *)
+            None
+      end)

@@ -29,21 +29,14 @@ type frame = string list
     duplicate-free. *)
 
 type stats = {
-  attempts : int;  (** {!fuse} calls that reached construction. *)
   sync_built : int;  (** synchronized window products built. *)
   budget_fallbacks : int;
       (** synchronized constructions abandoned on budget blowout. *)
-  ineligible : int;
-      (** factor pairs {!fuse} refused: incompatible, or a factor is
-          two-way. *)
-  cache_hits : int;  (** {!fuse} answers served from the memo. *)
+  memo : Strdb_util.Memo.stats;  (** the {!fuse} memo. *)
 }
 
 val stats : unit -> stats
 (** Snapshot of the counters. *)
-
-val reset_stats : unit -> unit
-(** Zero the counters. *)
 
 val merged_frame : frame -> frame -> frame
 (** [merged_frame fa fb] is [fa] followed by the variables of [fb] not
@@ -65,7 +58,9 @@ val fuse : Fsa.t * frame -> Fsa.t * frame -> (Fsa.t * frame) option
 (** The memoized entry point used by the evaluator: {!product_sync} of
     the optimized factors, run through [Optimize.optimized]; [None] when
     it declines, and the caller keeps the conjuncts unfused.  Memoized
-    on ([==] of factor automata, [=] of frames). *)
+    in a {!Strdb_util.Memo} of 128 entries on ([==] of factor automata,
+    [=] of frames). *)
 
 val clear_cache : unit -> unit
-(** Drop the {!fuse} memo (benchmarks isolating cold costs). *)
+(** Drop the {!fuse} memo and zero {!stats} (benchmarks isolating cold
+    costs). *)

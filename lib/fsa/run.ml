@@ -76,18 +76,25 @@ let search ~order (a : Fsa.t) ws0 =
 let accepts_naive a ws = search ~order:`Bfs a ws
 let accepts_dfs a ws = search ~order:`Dfs a ws
 
-let accepts a ws =
+(* [o] is [a]'s optimized form and [rt] the dispatch index of [o]. *)
+let accepts_with a o rt ws =
   check_input a ws;
-  let a = Optimize.optimized a in
-  match Runtime.try_accepts a ws with
+  match Runtime.try_accepts rt ws with
   | Some b -> b
-  | None -> accepts_naive a ws
+  | None -> accepts_naive o ws
+
+let accepts a ws =
+  let o = Optimize.optimized a in
+  accepts_with a o (Runtime.index o) ws
 
 (* Batch acceptance over one FSA: the σ_A filter shape of the query
-   pipeline.  The per-tuple searches are independent and the runtime's
-   caches are domain-safe, so the batch spreads over the pool. *)
+   pipeline.  The optimized automaton and its index are resolved once, so
+   no row takes the caches' lock; the per-tuple searches are independent,
+   so the batch spreads over the pool. *)
 let accepts_batch ?(pool = Strdb_util.Pool.sequential) a tuples =
-  Strdb_util.Pool.map_array pool (accepts a) (Array.of_list tuples)
+  let o = Optimize.optimized a in
+  let rt = Runtime.index o in
+  Strdb_util.Pool.map_array pool (accepts_with a o rt) (Array.of_list tuples)
 
 let accepting_trace (a : Fsa.t) ws0 =
   check_input a ws0;

@@ -158,88 +158,26 @@ let transition rt i = rt.fsa.Fsa.transitions.(i)
 let outgoing rt q = rt.outgoing.(q)
 
 (* ------------------------------------------------------------------ *)
-(* Index cache: keyed on the FSA's physical identity, bounded,
-   move-to-front.  Compile's memoization returns physically equal FSAs
-   for repeated formulae, so the two caches compose: re-running a query
-   re-uses both the automaton and its dispatch index.
-
-   The cache is an immutable list behind an [Atomic.t], so lookups are
-   lock-free from any domain; move-to-front and insertion go through
-   compare-and-set.  MTF is only a heuristic, so a lost CAS race is
-   simply skipped; insertion retries, and when two domains build the
-   same index concurrently the first inserted one wins, keeping
-   the per-FSA index unique from then on. *)
-
-let cache : (Fsa.t * t) list Atomic.t = Atomic.make []
-
-(* The bound defaults to the compile memo's size: the index working set
-   is at most one index per live compiled FSA, since one-shot
+(* Index cache, keyed on the FSA's physical identity.  Compile's memo
+   returns physically equal FSAs for repeated formulae, so the two caches
+   compose: re-running a query re-uses both the automaton and its
+   dispatch index.  The bound is the compile memo's size: the index
+   working set is at most one index per live compiled FSA, since one-shot
    specialised automata build local, uncached indices. *)
-let cache_limit = Atomic.make 256
 
-let set_cache_limit n = Atomic.set cache_limit (max 1 n)
-let get_cache_limit () = Atomic.get cache_limit
+module Memo = Strdb_util.Memo.Make (Fsa.Physical)
 
-(* Cache statistics, for the benches' hit-rate reports and to make cache
-   retention visible (a forever-growing miss count on an alphabet-heavy
-   path means nobody calls clear_cache).  [evictions] counts entries
-   dropped off the bounded tail, not clear_cache resets. *)
-type stats = { hits : int; misses : int; evictions : int; entries : int }
+let cache : t Memo.t = Memo.create 256
 
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let evictions = Atomic.make 0
+type stats = Strdb_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
+}
 
-let stats () =
-  {
-    hits = Atomic.get hits;
-    misses = Atomic.get misses;
-    evictions = Atomic.get evictions;
-    entries = List.length (Atomic.get cache);
-  }
-
-let reset_stats () =
-  Atomic.set hits 0;
-  Atomic.set misses 0;
-  Atomic.set evictions 0
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let rec insert_built (a : Fsa.t) rt =
-  let cur = Atomic.get cache in
-  match List.find_opt (fun (f, _) -> f == a) cur with
-  | Some (_, rt') -> rt' (* another domain won the build race *)
-  | None ->
-      let limit = Atomic.get cache_limit in
-      let dropped = max 0 (List.length cur + 1 - limit) in
-      if Atomic.compare_and_set cache cur (take limit ((a, rt) :: cur))
-      then begin
-        if dropped > 0 then ignore (Atomic.fetch_and_add evictions dropped);
-        rt
-      end
-      else insert_built a rt
-
-let index (a : Fsa.t) =
-  let entries = Atomic.get cache in
-  match entries with
-  | (f, rt) :: _ when f == a ->
-      Atomic.incr hits;
-      rt
-  | _ -> (
-      match List.find_opt (fun (f, _) -> f == a) entries with
-      | Some ((_, rt) as hit) ->
-          Atomic.incr hits;
-          (* Best-effort move-to-front: skip on a lost race. *)
-          ignore
-            (Atomic.compare_and_set cache entries
-               (hit :: List.filter (fun (f, _) -> f != a) entries));
-          rt
-      | None ->
-          Atomic.incr misses;
-          insert_built a (build a))
+let stats () = Memo.stats cache
+let index (a : Fsa.t) = Memo.find_or_add cache a (fun () -> build a)
 
 (* A private index: built fresh, never inserted into (or counted
    against) the shared cache.  For one-shot automata — per-row Lemma 3.1
@@ -247,7 +185,7 @@ let index (a : Fsa.t) =
    recurs; caching those only evicts the indices that do. *)
 let index_uncached (a : Fsa.t) = build a
 
-let clear_cache () = Atomic.set cache []
+let clear_cache () = Memo.clear cache
 
 (* ------------------------------------------------------------------ *)
 (* Packed configuration keys.  For input lengths n₁..n_k a configuration
@@ -425,8 +363,8 @@ let twoway_accepts rt (a : Fsa.t) l codes tdelta =
   done;
   !accepted
 
-let try_accepts (a : Fsa.t) ws0 =
-  let rt = index a in
+let try_accepts rt ws0 =
+  let a = rt.fsa in
   if not (indexable rt) then None
   else
     let ws = Array.of_list ws0 in

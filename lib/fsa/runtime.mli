@@ -27,10 +27,9 @@ type t
 
 val index : Fsa.t -> t
 (** [index a] is the dispatch index of [a], built on first use and
-    cached (bounded, keyed on physical identity — FSAs are immutable
-    after construction).  Domain-safe: the cache is a lock-free
-    immutable list behind an [Atomic.t]; concurrent lookups never
-    block, and racing builders converge on one shared index. *)
+    cached in a {!Strdb_util.Memo} (256 entries, keyed on physical
+    identity — FSAs are immutable after construction).  Domain-safe:
+    racing builders converge on one shared index. *)
 
 val index_uncached : Fsa.t -> t
 (** Build a dispatch index without consulting or populating the cache.
@@ -39,28 +38,17 @@ val index_uncached : Fsa.t -> t
     insertions. *)
 
 val clear_cache : unit -> unit
-(** Drop all cached indices (benchmark hygiene). *)
+(** Drop all cached indices and zero {!stats} (benchmark hygiene). *)
 
-val set_cache_limit : int -> unit
-(** Bound on cached indices (clamped to ≥ 1; default 256, sized so a
-    query suite's compiled working set fits without evictions).  Test
-    hook. *)
-
-val get_cache_limit : unit -> int
-
-type stats = {
-  hits : int;  (** [index] calls answered from the cache. *)
-  misses : int;  (** [index] calls that built a fresh dispatch index. *)
-  evictions : int;  (** entries dropped off the bounded tail. *)
-  entries : int;  (** live entries right now. *)
+type stats = Strdb_util.Memo.stats = {
+  hits : int;
+  misses : int;
+  evictions : int;
+  entries : int;
 }
-(** Counters over the index cache since start / {!reset_stats}.  The
-    benches report hit rates from these; a miss count that grows with an
-    alphabet-heavy workload is a leak signal (nothing calls
-    {!clear_cache}). *)
+(** The index cache's counters since start / {!clear_cache}. *)
 
 val stats : unit -> stats
-val reset_stats : unit -> unit
 
 val indexable : t -> bool
 (** False when [(|Σ|+2)^arity] overflows the code budget; dispatch and
@@ -105,8 +93,9 @@ val unpack : layout -> int -> int * int array
 
 (** {1 Acceptance} *)
 
-val try_accepts : Fsa.t -> string list -> bool option
-(** The packed acceptance search over int keys, dispatched on shape:
+val try_accepts : t -> string list -> bool option
+(** [try_accepts rt ws] decides [ws] against the automaton of the index
+    [rt] by the packed acceptance search over int keys, dispatched on shape:
     unidirectional FSAs (no head ever moves left — {!Optimize.shape_of})
     run a frontier-based one-way kernel, an NFA-style subset simulation
     by levels of equal head-position sum that needs no visited set and

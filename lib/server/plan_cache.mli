@@ -3,7 +3,7 @@
     Planning a query — shape analysis, limitation certification,
     necessary-factor extraction, index probes — costs more than
     executing it on typical stores; a server answering a repeated query
-    mix should pay it once.  This is a mutex-guarded LRU from
+    mix should pay it once.  This is a {!Strdb_util.Memo} LRU from
     {e (alphabet, formula, free list, store identity)} to prepared
     {!Strdb_algebra.Plan.t} values, shared by every session worker.
 
@@ -27,19 +27,17 @@ val key :
   Strdb_calculus.Formula.t ->
   key
 
-val default_bound : unit -> int
-(** [STRDB_PLAN_CACHE] from the environment when it parses as a
-    non-negative int, else 128.  0 disables caching. *)
-
 val create : ?bound:int -> unit -> t
-(** An empty cache holding at most [bound] plans (default
-    {!default_bound}).  Bound 0 never retains anything — every lookup
-    is a miss, so the server's cold path is the only path. *)
+(** An empty cache holding at most [bound] plans (default 128).  Bound 0
+    never retains anything — every lookup is a miss, so the server's
+    cold path is the only path. *)
 
 val bound : t -> int
 
 val find : t -> key -> Strdb_algebra.Plan.t option
 val add : t -> key -> Strdb_algebra.Plan.t -> unit
+(** Retain a plan unless the key already holds one (the first insert
+    wins). *)
 
 val prepare :
   t ->
@@ -56,13 +54,11 @@ val prepare :
     exactly one, and this guard keeps the helper honest when a caller
     does not. *)
 
-type stats = {
+type stats = Strdb_util.Memo.stats = {
   hits : int;
   misses : int;
   evictions : int;
   entries : int;
-  bound : int;
 }
 
 val stats : t -> stats
-val clear : t -> unit

@@ -160,7 +160,7 @@ let answer srv req =
              ("plan_cache_misses", s.Plan_cache.misses);
              ("plan_cache_evictions", s.Plan_cache.evictions);
              ("plan_cache_entries", s.Plan_cache.entries);
-             ("plan_cache_bound", s.Plan_cache.bound);
+             ("plan_cache_bound", Plan_cache.bound srv.cache);
              ("connections", accepted);
              ("busy_rejected", rejected);
              ("queries", queries);

@@ -39,8 +39,8 @@ type config = {
   backlog : int;  (** admitted-but-unserved connection bound. *)
   domains : int;  (** evaluation pool width for [Eval.execute]. *)
   cache_bound : int option;
-      (** plan-cache bound; [None] reads [STRDB_PLAN_CACHE] (default
-          128, 0 disables). *)
+      (** plan-cache bound; [None] is {!Plan_cache.create}'s default
+          (128); 0 disables. *)
 }
 
 val config :

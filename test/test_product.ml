@@ -84,7 +84,6 @@ let core_tests =
         let e = compile [ "x"; "y" ] (Combinators.equal_s "x" "y") in
         let s = compile [ "x"; "y" ] (Combinators.subsequence "x" "y") in
         Product.clear_cache ();
-        Product.reset_stats ();
         check_bool "sync overflows" true
           (Product.product_sync (e, [ "x"; "y" ]) (s, [ "x"; "y" ]) = None);
         check_bool "fuse declines on blowout" true

@@ -93,7 +93,7 @@ let protocol_tests =
                 (* the session survives every error *)
                 check_bool "still alive" true (Client.ping c))));
     tc "STATS counts plan-cache hits for a repeated query" (fun () ->
-        with_server (fun _ socket ->
+        with_server ~cache_bound:128 (fun _ socket ->
             with_client socket (fun c ->
                 ignore (Client.query c qtext);
                 ignore (Client.query c qtext);
@@ -159,47 +159,60 @@ let overload_tests =
         Server.stop srv (* idempotent *));
   ]
 
-let stress_tests =
-  [
-    slow_tc "4 concurrent clients ≡ sequential Eval, one shared cache"
-      (fun () ->
-        let mix =
-          [|
-            qtext;
-            "pair(u,v) & S{[u]l{u='a'}}";
-            "pair(u,v) & ~pair(v,u)";
-            "pair(v,u)";
-          |]
-        in
-        let expected = Array.map (fun q -> reference q) mix in
-        with_server ~workers:4 (fun srv socket ->
-            let client_rounds i =
-              with_client socket (fun c ->
-                  let bad = ref [] in
-                  for j = 0 to 19 do
-                    let q = (i + j) mod Array.length mix in
-                    match Client.query c mix.(q) with
-                    | Ok rows when rows = expected.(q) -> ()
-                    | Ok _ -> bad := Printf.sprintf "%d: wrong rows" q :: !bad
-                    | Error e -> bad := Printf.sprintf "%d: %s" q e :: !bad
-                  done;
-                  !bad)
-            in
-            let domains =
-              List.init 4 (fun i -> Domain.spawn (fun () -> client_rounds i))
-            in
-            let bad = List.concat_map Domain.join domains in
-            (match bad with
-            | [] -> ()
-            | m :: _ ->
-                Alcotest.failf "%d divergent replies, e.g. %s"
-                  (List.length bad) m);
-            let s = Plan_cache.stats (Server.cache srv) in
+(* Four clients over one shared plan cache, retained (bound 128) and
+   disabled (bound 0): every reply must equal the sequential answer. *)
+let stress_case name ~cache_bound =
+  slow_tc name (fun () ->
+      let mix =
+        [|
+          qtext;
+          "pair(u,v) & S{[u]l{u='a'}}";
+          "pair(u,v) & ~pair(v,u)";
+          "pair(v,u)";
+        |]
+      in
+      let expected = Array.map (fun q -> reference q) mix in
+      with_server ~workers:4 ~cache_bound (fun srv socket ->
+          let client_rounds i =
+            with_client socket (fun c ->
+                let bad = ref [] in
+                for j = 0 to 19 do
+                  let q = (i + j) mod Array.length mix in
+                  match Client.query c mix.(q) with
+                  | Ok rows when rows = expected.(q) -> ()
+                  | Ok _ -> bad := Printf.sprintf "%d: wrong rows" q :: !bad
+                  | Error e -> bad := Printf.sprintf "%d: %s" q e :: !bad
+                done;
+                !bad)
+          in
+          let domains =
+            List.init 4 (fun i -> Domain.spawn (fun () -> client_rounds i))
+          in
+          let bad = List.concat_map Domain.join domains in
+          (match bad with
+          | [] -> ()
+          | m :: _ ->
+              Alcotest.failf "%d divergent replies, e.g. %s" (List.length bad)
+                m);
+          let s = Plan_cache.stats (Server.cache srv) in
+          if cache_bound = 0 then begin
+            check_int "nothing retained" 0 s.Plan_cache.entries;
+            check_int "every request planned afresh" (4 * 20) s.Plan_cache.misses
+          end
+          else begin
             check_bool "the shared cache was hit" true (s.Plan_cache.hits > 0);
             (* find→prepare→add is not atomic, so concurrent sessions may
                each miss a key once; never more than clients × queries. *)
             check_bool "misses bounded by clients × distinct queries" true
-              (s.Plan_cache.misses <= 4 * Array.length mix)));
+              (s.Plan_cache.misses <= 4 * Array.length mix)
+          end))
+
+let stress_tests =
+  [
+    stress_case "4 concurrent clients ≡ sequential Eval, one shared cache"
+      ~cache_bound:128;
+    stress_case "4 concurrent clients ≡ sequential Eval, plan cache disabled"
+      ~cache_bound:0;
   ]
 
 (* Plan_cache in isolation: LRU eviction and the disabled bound. *)

@@ -132,9 +132,163 @@ let prng_tests =
         done);
   ]
 
+(* The one memo behind every engine cache: LRU order, the disabled
+   bound, identity keying, the first-insert-wins race, and a model test
+   against an assoc-list LRU. *)
+module Int_memo = Memo.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+module Fsa_memo = Memo.Make (Fsa.Physical)
+
+(* The reference: an assoc list, most recently used first. *)
+type model = {
+  mutable lru : (int * int) list;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_evictions : int;
+}
+
+type op = Find of int | Add of int * int
+
+let model_find m k =
+  match List.assoc_opt k m.lru with
+  | Some v ->
+      m.m_hits <- m.m_hits + 1;
+      m.lru <- (k, v) :: List.remove_assoc k m.lru;
+      Some v
+  | None ->
+      m.m_misses <- m.m_misses + 1;
+      None
+
+let model_add ~bound m k v =
+  match List.assoc_opt k m.lru with
+  | Some v' ->
+      m.lru <- (k, v') :: List.remove_assoc k m.lru;
+      v'
+  | None when bound = 0 -> v
+  | None ->
+      if List.length m.lru >= bound then begin
+        m.lru <- List.filteri (fun i _ -> i < bound - 1) m.lru;
+        m.m_evictions <- m.m_evictions + 1
+      end;
+      m.lru <- (k, v) :: m.lru;
+      v
+
+let arb_ops =
+  let open QCheck.Gen in
+  let op =
+    oneof
+      [
+        map (fun k -> Find k) (int_bound 5);
+        map2 (fun k v -> Add (k, v)) (int_bound 5) (int_bound 100);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (bound, ops) ->
+      Printf.sprintf "bound %d: %s" bound
+        (String.concat "; "
+           (List.map
+              (function
+                | Find k -> Printf.sprintf "find %d" k
+                | Add (k, v) -> Printf.sprintf "add %d %d" k v)
+              ops)))
+    (pair (int_bound 4) (list_size (int_bound 40) op))
+
+let memo_tests =
+  [
+    tc "LRU: a recently used entry survives, the coldest goes" (fun () ->
+        let t = Int_memo.create 16 in
+        let hot = ref 0 in
+        ignore (Int_memo.add t (-1) hot);
+        for i = 1 to 40 do
+          ignore (Int_memo.add t i (ref i));
+          (* Touch the hot entry so LRU keeps it while cold ones go. *)
+          match Int_memo.find t (-1) with
+          | Some v when v == hot -> ()
+          | _ -> Alcotest.failf "hot entry evicted at insertion %d" i
+        done;
+        let s = Int_memo.stats t in
+        check_int "one eviction per insertion past the bound" 25
+          s.Memo.evictions;
+        check_int "table stays at the bound" 16 s.Memo.entries;
+        check_bool "coldest entry gone" true (Int_memo.find t 1 = None);
+        check_bool "newest entry kept" true (Int_memo.find t 40 <> None));
+    tc "bound 0 stores nothing and counts misses" (fun () ->
+        let t = Int_memo.create 0 in
+        check_int "add returns its value" 7 (Int_memo.add t 1 7);
+        check_int "built, not stored" 8 (Int_memo.find_or_add t 1 (fun () -> 8));
+        check_bool "nothing to find" true (Int_memo.find t 1 = None);
+        let s = Int_memo.stats t in
+        check_int "no entries" 0 s.Memo.entries;
+        check_int "no hits" 0 s.Memo.hits;
+        check_int "every lookup misses" 2 s.Memo.misses);
+    tc "identity keying: a structural clone misses" (fun () ->
+        let a =
+          Compile.compile Alphabet.binary ~vars:[ "x"; "y" ]
+            (Combinators.equal_s "x" "y")
+        in
+        let clone =
+          Fsa.make ~sigma:a.Fsa.sigma ~arity:a.Fsa.arity
+            ~num_states:a.Fsa.num_states ~start:a.Fsa.start
+            ~finals:(Fsa.finals_list a)
+            ~transitions:(Array.to_list a.Fsa.transitions)
+        in
+        check_bool "clone is structurally equal" true (clone = a);
+        let t = Fsa_memo.create 4 in
+        ignore (Fsa_memo.add t a "original");
+        check_bool "same automaton hits" true (Fsa_memo.find t a = Some "original");
+        check_bool "clone misses" true (Fsa_memo.find t clone = None);
+        check_string "clone gets its own entry" "clone"
+          (Fsa_memo.find_or_add t clone (fun () -> "clone"));
+        check_int "two entries" 2 (Fsa_memo.stats t).Memo.entries);
+    tc "racing builders both get the first inserted value" (fun () ->
+        let t = Int_memo.create 4 in
+        let building = Atomic.make 0 in
+        let build () =
+          (* Hold each build until both domains have missed, so both
+             insert and the second must adopt the first's value. *)
+          Atomic.incr building;
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while Atomic.get building < 2 && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+          ref 0
+        in
+        let other = Domain.spawn (fun () -> Int_memo.find_or_add t 1 build) in
+        let mine = Int_memo.find_or_add t 1 build in
+        let theirs = Domain.join other in
+        check_int "both domains built" 2 (Atomic.get building);
+        check_bool "one shared value" true (mine == theirs);
+        check_bool "it is the stored one" true
+          (match Int_memo.find t 1 with Some v -> v == mine | None -> false);
+        let s = Int_memo.stats t in
+        check_int "two misses" 2 s.Memo.misses;
+        check_int "one entry" 1 s.Memo.entries);
+    Test_qcheck.prop ~count:300 "agrees with an assoc-list LRU" arb_ops
+      (fun (bound, ops) ->
+        let t = Int_memo.create bound in
+        let m = { lru = []; m_hits = 0; m_misses = 0; m_evictions = 0 } in
+        List.for_all
+          (function
+            | Find k -> Int_memo.find t k = model_find m k
+            | Add (k, v) -> Int_memo.add t k v = model_add ~bound m k v)
+          ops
+        &&
+        let s = Int_memo.stats t in
+        s.Memo.hits = m.m_hits && s.Memo.misses = m.m_misses
+        && s.Memo.evictions = m.m_evictions
+        && s.Memo.entries = List.length m.lru
+        && List.for_all (fun (k, v) -> Int_memo.find t k = Some v) m.lru);
+  ]
+
 let suites =
   [
     ("util.alphabet", alphabet_tests);
     ("util.strutil", strutil_tests);
     ("util.prng", prng_tests);
+    ("util.memo", memo_tests);
   ]
